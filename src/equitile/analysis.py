@@ -13,7 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .partition import WeightedIndicator, require_admissible
+from .partition import (
+    WeightedIndicator,
+    _abs2,
+    _aggregate,
+    _cell_sums,
+    _check_side,
+    _deviation,
+    _layout,
+    _square,
+    require_admissible,
+)
 from .triangularize import DeviationMatrix, TriangularizationResult
 
 #: a column counts as nonzero when its norm exceeds this times the
@@ -74,7 +84,8 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
     """Summarize a deviation matrix: all norms come from one SVD.
 
     The nonzero column count upper-bounds the rank; the squared Frobenius
-    norm equals the sum of squared deviation-vector norms.
+    norm equals the sum of squared deviation-vector norms. The per-block
+    norms are cell sums of |T|^2 over the layout rows, O(N k).
     """
     M = np.asarray(T.assembled)
     s = _singular_values(M)
@@ -83,10 +94,10 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
     nuc = float(s.sum())
     col_norms = np.linalg.norm(M, axis=0) if M.size else np.zeros(M.shape[1])
     nonzero = int((col_norms > NONZERO_COLUMN_RTOL * fro).sum())
-    k = len(T.blocks)
-    per_block = np.array(
-        [[float(np.linalg.norm(T.blocks[i][j])) for j in range(k)] for i in range(k)]
-    )
+    lay = _layout(T.partition)
+    per_block = np.sqrt(_cell_sums(_abs2(M[lay.order]), lay))
+    if T.side == "rear":
+        per_block = per_block.T
     per_block.setflags(write=False)
     return DeviationReport(fro, spec, nuc, nonzero, per_block)
 
@@ -97,29 +108,27 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
 
     front: ||(A W - W Theta) (W'W)^{-1/2}||, rear: ||(W'W)^{-1/2} (W'A - Theta W')||.
     Over all Theta this is minimized exactly at the respective quotient.
+
+    Both come from one aggregate pass in layout rows; the rear residual is
+    taken in its conjugate transpose, (A' W - W Theta') (W'W)^{-1/2}, which
+    has the same singular values.
     """
-    if side not in ("front", "rear"):
-        raise InputError(f"side must be 'front' or 'rear', got {side!r}")
+    _check_side(side)
     kind = _NORM_ALIASES.get(norm_kind)
     if kind is None:
         raise InputError(f"unknown norm kind {norm_kind!r}")
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"square matrix required, got shape {A.shape}")
     p = wi.partition
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
     Theta = np.asarray(Theta)
     if Theta.shape != (p.k, p.k):
         raise InputError(f"Theta must be {p.k}x{p.k}, got {Theta.shape}")
     require_admissible(wi)
-    W = wi.matrix()
-    norms = wi.cell_norms()
-    if side == "front":
-        R = (A @ W - W @ Theta) / norms[None, :]
-    else:
-        R = (W.conj().T @ A - Theta @ W.conj().T) / norms[:, None]
-    return _schatten(R, kind)
+    lay = _layout(p)
+    R = _aggregate(A, lay, wi.weights, side)
+    if side == "rear":
+        Theta = Theta.conj().T
+    D = _deviation(R, lay, wi.weights[lay.order], Theta)
+    return _schatten(D / wi.cell_norms()[None, :], kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +151,10 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
     Pairing is strictly by sorted order. Non-Hermitian input is refused
     since the bound requires Hermiticity.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"square matrix required, got shape {A.shape}")
+    A = _square(A, r.n)
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.conj().T).max() > 1e-10 * scale:
         raise InputError("Weyl bound requires a Hermitian matrix")
-    if A.shape[0] != r.n:
-        raise InputError(f"matrix size {A.shape[0]} != transform size {r.n}")
     lam = np.sort(np.linalg.eigvalsh((A + A.conj().T) / 2.0))
     mus = []
     for M in (r.E, r.F):

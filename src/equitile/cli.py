@@ -86,6 +86,13 @@ def _read_partition(path, n: int) -> Partition:
     return p
 
 
+def _read_matrix(path) -> np.ndarray:
+    A = load_matrix_market(path).matrix
+    if not np.all(np.isfinite(A)):
+        raise InputError(f"{path}: matrix entries must be finite")
+    return A
+
+
 def _parse_complex_list(data, what: str) -> np.ndarray:
     vals = []
     for item in data:
@@ -96,6 +103,8 @@ def _parse_complex_list(data, what: str) -> np.ndarray:
         else:
             raise InputError(f"{what}: entries must be numbers or [re, im] pairs")
     arr = np.array(vals)
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what}: entries must be finite")
     if np.all(arr.imag == 0):
         return arr.real
     return arr
@@ -137,29 +146,48 @@ def _emit(out_dir, name: str, M) -> str:
     return str(target)
 
 
-def _print_report(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+def _print_report(report: dict, indent: int | None = 2) -> None:
+    """Write report as strict JSON; a NaN or infinity is a numerical failure."""
+    try:
+        text = json.dumps(report, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number: {exc}") from exc
+    print(text)
+
+
+def _load_inputs(args, finite_matrix: bool = True):
+    """Matrix, weighted indicator and phases of check, transform and split.
+
+    Weights default to ones and phases to "auto". Non-finite weights or
+    phases are an input error, and so is a non-finite matrix unless
+    finite_matrix is False: split leaves that to the eigensolver, which
+    reports it as a numerical failure.
+    """
+    A = _read_matrix(args.matrix) if finite_matrix else load_matrix_market(args.matrix).matrix
+    n = A.shape[0]
+    part = _read_partition(args.partition, n)
+    w = _read_weights(args.weights, n) if args.weights else np.ones(n)
+    phases = getattr(args, "phases", "auto")
+    if phases and phases != "auto":
+        phases = _read_phases(phases, part.k)
+    return A, WeightedIndicator(part, w), phases
 
 
 def cmd_refine(args) -> int:
-    A = load_matrix_market(args.matrix).matrix
+    A = _read_matrix(args.matrix)
     initial = _read_partition(args.initial, A.shape[0]) if args.initial else None
     if args.weights:
         w = _read_weights(args.weights, A.shape[0])
         part = weighted_refinement(A, w, initial, color_tol=args.color_tol)
     else:
         part = coarsest_front_equitable_refinement(A, initial, color_tol=args.color_tol)
-    print(json.dumps(part.to_dict()))
+    _print_report(part.to_dict(), indent=None)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    A = load_matrix_market(args.matrix).matrix
-    part = _read_partition(args.partition, A.shape[0])
-    if args.weights:
-        wi = WeightedIndicator(part, _read_weights(args.weights, A.shape[0]))
-    else:
-        wi = WeightedIndicator.unit(part)
+    A, wi, _ = _load_inputs(args)
+    part = wi.partition
     verdict = check_equitable(A, wi, side=args.side, tol=args.tol)
     report = {
         "side": verdict.side,
@@ -173,22 +201,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.is_equitable else EXIT_NEGATIVE
 
 
-def _transform_inputs(args):
-    A = load_matrix_market(args.matrix).matrix
-    part = _read_partition(args.partition, A.shape[0])
-    if args.weights:
-        wi = WeightedIndicator(part, _read_weights(args.weights, A.shape[0]))
-    else:
-        wi = WeightedIndicator.unit(part)
-    phases = "auto"
-    if args.phases and args.phases != "auto":
-        phases = _read_phases(args.phases, part.k)
-    return A, part, wi, phases
-
-
 def cmd_transform(args) -> int:
     t0 = time.perf_counter()
-    A, part, wi, phases = _transform_inputs(args)
+    A, wi, phases = _load_inputs(args)
+    part = wi.partition
     result = block_triangularize(A, wi, phases=phases)
     wanted = {piece.strip() for piece in args.emit.split(",") if piece.strip()}
     unknown = wanted - {"E", "F", "D", "full", "eigvecs"}
@@ -246,12 +262,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_split(args) -> int:
-    A = load_matrix_market(args.matrix).matrix
-    part = _read_partition(args.partition, A.shape[0])
-    if args.weights:
-        wi = WeightedIndicator(part, _read_weights(args.weights, A.shape[0]))
-    else:
-        wi = WeightedIndicator.unit(part)
+    A, wi, _ = _load_inputs(args, finite_matrix=False)
     result = block_triangularize(A, wi)
     split = spectrum_split(result, tol=args.tol)
 
@@ -276,7 +287,7 @@ def cmd_split(args) -> int:
 
 def cmd_rect(args) -> int:
     t0 = time.perf_counter()
-    A = load_matrix_market(args.matrix).matrix
+    A = _read_matrix(args.matrix)
     structure = _load_json(args.structure)
     try:
         m_sizes = [int(x) for x in structure["left"]["m_sizes"]]
@@ -285,8 +296,8 @@ def cmd_rect(args) -> int:
         r_sizes = [int(x) for x in structure["right"]["r_sizes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.structure}: bad structure object: {exc}") from exc
-    Wm = load_matrix_market(args.wminus).matrix
-    Wp = load_matrix_market(args.wplus).matrix
+    Wm = _read_matrix(args.wminus)
+    Wp = _read_matrix(args.wplus)
     wm_blocks = split_block_diagonal(Wm, m_sizes, q_sizes)
     wp_blocks = split_block_diagonal(Wp, n_sizes, r_sizes)
     if A.shape != (sum(m_sizes), sum(n_sizes)):

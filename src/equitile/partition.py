@@ -9,23 +9,41 @@ w[v] in column i exactly when v belongs to cell i.
 Equitability of a matrix A with respect to W means A W = W E (front, i.e.
 constant weighted block row aggregates) or W' A = E W' (rear). Deviation
 from it is measured blockwise by the normalized residual vectors.
+
+Every cell aggregate (equitability residuals, quotients, deviations,
+epsilon and regular-equivalence tests) comes from one kernel over the
+block-contiguous layout: rows of A are gathered a bounded block at a time,
+columns in layout order, and np.add.reduceat sums each row over every
+cell. That is O(N^2) time whatever the number of cells k, O(N k) extra
+memory, and no N-by-N temporary. The dense N-by-k indicator W is never
+formed; WeightedIndicator.matrix and indicator_matrix remain as oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityError, InputError
 
+#: entries of A the aggregate kernel gathers per row block (128 KiB of
+#: float64); bounds its temporaries, and those of the column-blocked
+#: residual passes, independently of N and k
+_BLOCK_ENTRIES = 1 << 14
 
-def _coerce_square(A) -> np.ndarray:
+
+def _square(A, n: int | None = None) -> np.ndarray:
+    """A as an array, checked to be square and, when n is given, n-by-n.
+
+    The dtype is kept: aggregate paths cast one row block at a time.
+    """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"square matrix required, got shape {A.shape}")
-    if A.dtype.kind in "iub":
-        A = A.astype(np.float64)
+    if n is not None and A.shape[0] != n:
+        raise InputError(f"matrix size {A.shape[0]} != partition size {n}")
     return A
 
 
@@ -137,10 +155,8 @@ class WeightedIndicator:
 
     def cell_norms2(self) -> np.ndarray:
         """Exact squared norms per cell (integer-valued for unit weights)."""
-        return np.array(
-            [np.vdot(self.weights[list(c)], self.weights[list(c)]).real
-             for c in self.partition.cells]
-        )
+        lay = _layout(self.partition)
+        return np.add.reduceat(_abs2(self.weights[lay.order]), lay.starts)
 
     def cell_norms(self) -> np.ndarray:
         return np.sqrt(self.cell_norms2())
@@ -199,6 +215,86 @@ def suitable_indexing_permutation(p: Partition) -> np.ndarray:
     return perm
 
 
+class _Layout(NamedTuple):
+    """Block-contiguous layout of a partition.
+
+    Position p holds index order[p]: the cells in order, members ascending.
+    Cell i occupies positions starts[i] up to starts[i + 1], and labels[p]
+    is the cell of position p.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+
+
+def _layout(p: Partition) -> _Layout:
+    sizes = np.fromiter(map(len, p.cells), dtype=np.intp, count=p.k)
+    order = np.fromiter(chain.from_iterable(p.cells), dtype=np.intp, count=p.n)
+    starts = np.zeros(p.k, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return _Layout(order, starts, np.repeat(np.arange(p.k), sizes))
+
+
+def _abs2(X: np.ndarray) -> np.ndarray:
+    """Entrywise squared modulus."""
+    if np.iscomplexobj(X):
+        return X.real**2 + X.imag**2
+    return X * X
+
+
+def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
+               side: str = "front") -> np.ndarray:
+    """R[p, j] = sum over v in cell j of M[order[p], v] * w[v], rows in layout order.
+
+    M is A for side "front" and A' (conjugate transpose) for "rear"; w
+    defaults to all ones. A is gathered _BLOCK_ENTRIES entries at a time,
+    row blocks for front and column blocks for rear, each cast, scaled by
+    the layout-ordered weights and summed per cell with np.add.reduceat.
+    Costs O(N^2) whatever k, and the only temporaries beyond the N-by-k
+    result are of the block size.
+    """
+    order, starts = lay.order, lay.starts
+    n = order.size
+    M = A if side == "front" else A.T
+    conj = side == "rear" and np.iscomplexobj(A)
+    wl = None if w is None else w[order]
+    dtype = np.result_type(A.dtype, np.float64 if w is None else w.dtype)
+    out = np.empty((n, starts.size), dtype=dtype)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for a in range(0, n, step):
+        blk = M[order[a:a + step]].take(order, axis=1).astype(dtype, copy=False)
+        if conj:
+            np.conjugate(blk, out=blk)
+        if wl is not None:
+            blk *= wl
+        np.add.reduceat(blk, starts, axis=1, out=out[a:a + step])
+    return out
+
+
+def _cell_sums(X: np.ndarray, lay: _Layout, wl: np.ndarray | None = None) -> np.ndarray:
+    """S[i, j] = sum over the layout rows p of cell i of conj(wl[p]) X[p, j].
+
+    With X an aggregate R, this is W'R: the (unnormalized) quotient.
+    """
+    if wl is not None:
+        X = wl.conj()[:, None] * X
+    return np.add.reduceat(X, lay.starts, axis=0)
+
+
+def _deviation(R: np.ndarray, lay: _Layout, wl: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """R - W E in layout rows: row p minus E[labels[p]] * wl[p]."""
+    D = E[lay.labels].astype(np.result_type(R, E, wl), copy=False)
+    D *= wl[:, None]
+    np.subtract(R, D, out=D)
+    return D
+
+
+def _check_side(side: str) -> None:
+    if side not in ("front", "rear"):
+        raise InputError(f"side must be 'front' or 'rear', got {side!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EquitabilityVerdict:
     side: str
@@ -216,30 +312,33 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     front uses (A_ij w_j - e_ij w_i)/||w_j|| with e_ij the weighted row
     aggregate; rear is the column analogue. Normalization by the weight
     norms makes the tolerance scale-free in the weights.
+
+    One aggregate pass gives R = A W (front) or A' W (rear) in layout rows;
+    E = W'R / ||w_i||^2 and the residual R - W E are then formed in column
+    blocks, two-pass, so small residuals keep their digits and no second
+    N-by-k array is needed.
     """
-    if side not in ("front", "rear"):
-        raise InputError(f"side must be 'front' or 'rear', got {side!r}")
-    A = _coerce_square(A)
+    _check_side(side)
     p = wi.partition
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
     require_admissible(wi)
     norms2 = wi.cell_norms2()
-    norms = np.sqrt(norms2)
-    res = np.zeros((p.k, p.k))
-    for i, ci in enumerate(p.cells):
-        w_i = wi.weights[list(ci)]
-        for j, cj in enumerate(p.cells):
-            w_j = wi.weights[list(cj)]
-            block = A[np.ix_(list(ci), list(cj))]
-            if side == "front":
-                r = block @ w_j
-                e = np.vdot(w_i, r) / norms2[i]
-                res[i, j] = np.linalg.norm(r - e * w_i) / norms[j]
-            else:
-                s = block.conj().T @ w_i
-                e = np.vdot(w_j, s) / norms2[j]
-                res[i, j] = np.linalg.norm(s - e * w_j) / norms[i]
+    lay = _layout(p)
+    wl = wi.weights[lay.order]
+    R = _aggregate(A, lay, wi.weights, side)
+    res = np.empty((p.k, p.k))
+    step = max(1, _BLOCK_ENTRIES // p.n)
+    for c in range(0, p.k, step):
+        Rc = R[:, c:c + step]
+        E = _cell_sums(Rc, lay, wl)
+        E /= norms2[:, None]
+        res[:, c:c + step] = _cell_sums(_abs2(_deviation(Rc, lay, wl, E)), lay)
+    del R
+    np.sqrt(res, out=res)
+    res /= np.sqrt(norms2)[None, :]
+    # rows of res follow the aggregated side's cells: transpose for rear
+    if side == "rear":
+        res = res.T
     mx = float(res.max())
     res.setflags(write=False)
     return EquitabilityVerdict(side, mx <= tol, mx, res, tol)
@@ -249,32 +348,38 @@ def epsilon_equitability(A, p: Partition) -> float:
     """Smallest eps such that all block row sums spread at most eps.
 
     The spread of a block is the largest modulus of a difference of two of
-    its row sums; the result is the maximum over all blocks.
+    its row sums; the result is the maximum over all blocks. The row sums
+    come from one aggregate pass; real spreads are max - min per cell,
+    complex ones a pairwise pass per cell over all k columns at once.
     """
-    A = _coerce_square(A)
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
+    lay = _layout(p)
+    R = _aggregate(A, lay)
+    if not np.iscomplexobj(R):
+        spread = np.maximum.reduceat(R, lay.starts, axis=0) - \
+            np.minimum.reduceat(R, lay.starts, axis=0)
+        return float(spread.max())
     worst = 0.0
-    for ci in p.cells:
-        for cj in p.cells:
-            r = A[np.ix_(list(ci), list(cj))].sum(axis=1)
-            if len(r) > 1:
-                d = np.abs(r[:, None] - r[None, :]).max()
-                worst = max(worst, float(d))
+    bounds = np.append(lay.starts, p.n)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        X = R[a:b]
+        step = max(1, _BLOCK_ENTRIES // X.size)
+        for c in range(0, b - a, step):
+            worst = max(worst, float(np.abs(X[c:c + step, None] - X[None]).max()))
     return worst
 
 
 def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
-    """True if every block's row-sum vector is entrywise nonzero or all zero."""
-    A = _coerce_square(A)
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
-    for ci in p.cells:
-        for cj in p.cells:
-            r = np.abs(A[np.ix_(list(ci), list(cj))].sum(axis=1))
-            if np.any(r <= zero_tol) and np.any(r > zero_tol):
-                return False
-    return True
+    """True if every block's row-sum vector is entrywise nonzero or all zero.
+
+    Counts the zero row sums of every block from one aggregate pass.
+    """
+    A = _square(A, p.n)
+    lay = _layout(p)
+    zero = np.abs(_aggregate(A, lay)) <= zero_tol
+    counts = np.add.reduceat(zero, lay.starts, axis=0, dtype=np.intp)
+    sizes = np.asarray(p.sizes)[:, None]
+    return not np.any((counts > 0) & (counts < sizes))
 
 
 def _split_cell(cell: tuple[int, ...], sigs: np.ndarray, tol: float) -> list[list[int]]:
@@ -308,7 +413,7 @@ def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
     splits. The fixpoint is unique, so processing order only affects
     intermediate states. Output is in canonical form.
     """
-    A = _coerce_square(A)
+    A = _square(A)
     if initial is None:
         initial = Partition.single_cell(A.shape[0])
     if A.shape[0] != initial.n:
@@ -336,7 +441,7 @@ def weighted_refinement(A, w, initial: Partition | None = None,
     Equivalent to refining diag(w)^-1 A diag(w): pairing the result with w
     gives a front equitable weighted indicator.
     """
-    A = _coerce_square(A)
+    A = _square(A)
     w = np.asarray(w)
     if w.ndim != 1 or w.size != A.shape[0]:
         raise InputError(f"weight vector of length {A.shape[0]} required, got {w.shape}")

@@ -32,12 +32,35 @@ def _as_vector(x) -> np.ndarray:
         raise InputError(f"expected a non-empty 1-d vector, got shape {x.shape}")
     if x.dtype.kind in "iub":
         x = x.astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise InputError("vector entries must be finite")
     return x
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest component into [0.5, 1).
+
+    Squares of the scaled entries can neither overflow nor underflow to
+    zero, as in LAPACK's dznrm2. The scaling is exact, and every quantity
+    built from x is homogeneous of degree zero, so it removes over- and
+    underflow and nothing else. The zero vector is returned as is.
+    """
+    s = max(np.abs(x.real).max(), np.abs(x.imag).max()) if np.iscomplexobj(x) \
+        else np.abs(x).max()
+    if s == 0:
+        return x
+    e = -int(np.frexp(s)[1])
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, e)
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
 
 
 def _check_phase(beta: complex) -> complex:
     beta = complex(beta)
-    if abs(abs(beta) - 1.0) > PHASE_TOL:
+    if not np.isfinite(beta) or abs(abs(beta) - 1.0) > PHASE_TOL:
         raise InputError(f"phase must have unit modulus, got |beta| = {abs(beta)!r}")
     return beta
 
@@ -46,13 +69,17 @@ def beta0(x) -> complex:
     """Default phase choice: -conj(x[0])/|x[0]|, or 1 when x[0] = 0.
 
     Avoids cancellation in the rank-one denominator and coincides with the
-    standard sign convention for real Householder vectors.
+    standard sign convention for real Householder vectors. The phase is
+    taken from x[0]/max(|Re x[0]|, |Im x[0]|), so subnormal and huge
+    entries do not overflow.
     """
     x = _as_vector(x)
     x1 = complex(x[0])
-    if x1 == 0:
+    s = max(abs(x1.real), abs(x1.imag))
+    if s == 0:
         return 1.0 + 0.0j
-    return -np.conj(x1) / abs(x1)
+    u = complex(x1.real / s, x1.imag / s)
+    return -u.conjugate() / abs(u)
 
 
 def gamma(x, beta) -> float:
@@ -61,7 +88,7 @@ def gamma(x, beta) -> float:
     gamma(x, beta) = pinv(||x|| - Re(beta*x[0])) * Im(beta*x[0]), where the
     scalar pseudo-inverse maps 0 to 0.
     """
-    x = _as_vector(x)
+    x = _unit_scaled(_as_vector(x))
     nrm = np.linalg.norm(x)
     if nrm == 0:
         raise InputError("gamma is undefined for the zero vector")
@@ -134,9 +161,10 @@ def build_reflector(x, beta=None) -> ElementaryUnitary:
 
     The identity branch is taken when x/||x|| equals conj(beta) f
     elementwise within BRANCH_TOL * ||x||; there the rank-one denominator
-    vanishes exactly.
+    vanishes exactly. H depends on the direction of x only, so x is first
+    scaled by a power of two: any finite nonzero x works.
     """
-    x = _as_vector(x)
+    x = _unit_scaled(_as_vector(x))
     tail_energy = float(np.real(np.vdot(x[1:], x[1:])))
     nrm = float(np.sqrt(abs(x[0]) ** 2 + tail_energy))
     if nrm == 0:

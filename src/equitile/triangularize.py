@@ -14,6 +14,7 @@ reproduces the transformed matrix, which is unitarily similar to A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,19 +23,15 @@ from .errors import InputError, NumericalError
 from .partition import (
     Partition,
     WeightedIndicator,
+    _aggregate,
+    _cell_sums,
+    _deviation,
+    _layout,
+    _square,
     require_admissible,
     suitable_indexing_permutation,
 )
 from .reflector import ElementaryUnitary, beta0, build_reflector, _check_phase
-
-
-def _coerce_square(A) -> np.ndarray:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"square matrix required, got shape {A.shape}")
-    if A.dtype.kind in "iub":
-        A = A.astype(np.float64)
-    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,15 +48,14 @@ def generalized_quotient(A, wi: WeightedIndicator, alpha: float) -> QuotientMatr
     alpha = -1 gives the front quotient (weighted row aggregates), +1 the
     rear quotient, 0 the Rayleigh quotient. The Gram matrix W'W is diagonal
     with the squared cell weight norms, so only scalar powers are taken.
+    W'AW is the cell sums of one front aggregate pass, O(N^2) whatever k.
     """
-    A = _coerce_square(A)
     p = wi.partition
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
     require_admissible(wi)
-    W = wi.matrix()
     norms2 = wi.cell_norms2()
-    M = W.conj().T @ A @ W
+    lay = _layout(p)
+    M = _cell_sums(_aggregate(A, lay, wi.weights), lay, wi.weights[lay.order])
     alpha = float(alpha)
     # divide by the exact squared norms for the two standard quotients so
     # integer-exact inputs produce integer-exact entries
@@ -85,8 +81,17 @@ class DeviationMatrix:
     """
 
     side: str
-    blocks: tuple[tuple[np.ndarray, ...], ...]
     assembled: np.ndarray
+    partition: Partition
+
+    @cached_property
+    def blocks(self) -> tuple[Sequence[np.ndarray], ...]:
+        """blocks[i][j] is the deviation vector of block (i, j), built on demand."""
+        T = self.assembled
+        if self.side == "front":
+            return tuple(T[list(c)].T for c in self.partition.cells)
+        lay = _layout(self.partition)
+        return tuple(np.split(T[lay.order, i], lay.starts[1:]) for i in range(T.shape[1]))
 
 
 def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, DeviationMatrix]:
@@ -94,31 +99,26 @@ def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, Devia
 
     T_front = (A W - W E_front) (W'W)^{-1/2}
     T_rear  = (A' W - W E_rear') (W'W)^{-1/2}
+
+    Each side is one aggregate pass (A W, resp. A' W, in layout rows) whose
+    residual is scattered back to the original row order.
     """
-    A = _coerce_square(A)
     p = wi.partition
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
     require_admissible(wi)
-    W = wi.matrix()
-    norms = wi.cell_norms()
-    Em = generalized_quotient(A, wi, -1.0).entries
-    Ep = generalized_quotient(A, wi, +1.0).entries
-    Tm = (A @ W - W @ Em) / norms[None, :]
-    Tp = (A.conj().T @ W - W @ Ep.conj().T) / norms[None, :]
-    cells = [list(c) for c in p.cells]
-    fr = tuple(
-        tuple(Tm[cells[i], j] for j in range(p.k)) for i in range(p.k)
-    )
-    re = tuple(
-        tuple(Tp[cells[j], i] for j in range(p.k)) for i in range(p.k)
-    )
-    Tm.setflags(write=False)
-    Tp.setflags(write=False)
-    return (
-        DeviationMatrix("front", fr, Tm),
-        DeviationMatrix("rear", re, Tp),
-    )
+    norms2 = wi.cell_norms2()
+    lay = _layout(p)
+    wl = wi.weights[lay.order]
+    out = []
+    for side in ("front", "rear"):
+        R = _aggregate(A, lay, wi.weights, side)
+        D = _deviation(R, lay, wl, _cell_sums(R, lay, wl) / norms2[:, None])
+        D /= np.sqrt(norms2)[None, :]
+        T = np.empty_like(D)
+        T[lay.order] = D
+        T.setflags(write=False)
+        out.append(DeviationMatrix(side, T, p))
+    return out[0], out[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,10 +285,8 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
     partitions are accepted; the reflector is then built from the permuted
     weight blocks and applied blockwise in O(N^2).
     """
-    A = _coerce_square(A)
     p = wi.partition
-    if A.shape[0] != p.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {p.n}")
+    A = _square(A, p.n)
     require_admissible(wi)
     n, k = p.n, p.k
     sizes = p.sizes
@@ -296,6 +294,8 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
     perm = suitable_indexing_permutation(p)
     inv = np.argsort(perm)
     A_s = A[np.ix_(inv, inv)]
+    if A_s.dtype.kind in "iub":
+        A_s = A_s.astype(np.float64)
     w_s = wi.weights[inv]
 
     offs = np.concatenate([[0], np.cumsum(sizes)])

@@ -207,3 +207,42 @@ def charpoly_eigenvalues(A) -> np.ndarray:
 
 def sorted_complex(values) -> np.ndarray:
     return np.sort_complex(np.asarray(values, dtype=complex).ravel())
+
+
+def dense_aggregates(A, wi: eq.WeightedIndicator, Theta) -> dict:
+    """Every cell aggregate from the dense indicator W: the kernel's oracle.
+
+    Built only from wi.matrix(), indicator_matrix and products such as
+    A @ W, so it shares no code with the segment-sum kernel. Per-block
+    norms are B'|T|^2 with the 0/1 indicator B. Theta is the candidate
+    quotient of the theta residuals.
+    """
+    A = np.asarray(A)
+    if A.dtype.kind in "iub":
+        A = A.astype(float)
+    p = wi.partition
+    W = wi.matrix()
+    B = eq.indicator_matrix(p)
+    n2 = np.real(np.diag(W.conj().T @ W))
+    nrm = np.sqrt(n2)
+    M = W.conj().T @ A @ W
+    T_front = (A @ W - W @ (M / n2[:, None])) / nrm
+    T_rear = (A.conj().T @ W - W @ (M.conj().T / n2[:, None])) / nrm
+    S = A @ B  # plain row sums of every block
+    same_cell = (B @ B.T) > 0
+    spreads = np.abs(S[:, None, :] - S[None, :, :]).max(axis=2)
+    zero_counts = B.T @ (np.abs(S) == 0)
+    quotients = {}
+    for alpha in (-1.0, 0.0, 0.3, 1.0):
+        quotients[alpha] = np.diag(nrm ** (alpha - 1)) @ M @ np.diag(nrm ** (-alpha - 1))
+    return {
+        "front_residuals": np.sqrt(B.T @ np.abs(T_front) ** 2),
+        "rear_residuals": np.sqrt(B.T @ np.abs(T_rear) ** 2).T,
+        "epsilon": float(spreads[same_cell].max()),
+        "regular": bool(np.all((zero_counts == 0) | (zero_counts == B.sum(axis=0)[:, None]))),
+        "quotients": quotients,
+        "T_front": T_front,
+        "T_rear": T_rear,
+        "theta_front": np.linalg.norm((A @ W - W @ Theta) / nrm),
+        "theta_rear": np.linalg.norm((W.conj().T @ A - Theta @ W.conj().T) / nrm[:, None]),
+    }

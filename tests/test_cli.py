@@ -398,6 +398,51 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "split", str(nf), str(pf))
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["check", "refine"])
+    def test_non_finite_matrix_rejected(self, capsys, tmp_path, command):
+        nf = tmp_path / "nan.mtx"
+        nf.write_text(
+            "%%MatrixMarket matrix array real general\n2 2\nnan\n0.0\n0.0\n1.0\n"
+        )
+        pf = tmp_path / "p.json"
+        pf.write_text(json.dumps({"n": 2, "cells": [[1, 2]]}))
+        argv = [command, str(nf)] + ([str(pf)] if command == "check" else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("payload", ["[NaN, 1, 1, 1, 1, 1]", "[[1, Infinity], 1, 1, 1, 1, 1]"])
+    def test_non_finite_weights_rejected(self, capsys, a0_file, pi0_file, tmp_path, payload):
+        wf = tmp_path / "w.json"
+        wf.write_text(payload)
+        code = main(["check", a0_file, pi0_file, "--weights", str(wf)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
+    def test_non_finite_phases_rejected(self, capsys, a0_file, pi0_file, tmp_path):
+        pf = tmp_path / "phases.json"
+        pf.write_text("[1, NaN, 1]")
+        code = main(["transform", a0_file, pi0_file, "--phases", str(pf),
+                     "--emit", "E", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
+    def test_overflowing_report_is_numerical_failure(self, capsys, tmp_path):
+        # finite input whose row sums overflow: the report would hold NaN,
+        # which strict JSON cannot carry
+        mf = tmp_path / "huge.mtx"
+        save_matrix_market(mf, np.array([[1e308, 1e308], [0.0, 0.0]]))
+        pf = tmp_path / "p.json"
+        pf.write_text(json.dumps({"n": 2, "cells": [[1, 2]]}))
+        code = main(["check", str(mf), str(pf)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+
     def test_console_entry_point(self, a0_file, pi0_file):
         proc = subprocess.run(
             [sys.executable, "-m", "equitile.cli", "check", a0_file, pi0_file],

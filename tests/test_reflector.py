@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import equitile as eq
@@ -137,6 +137,57 @@ class TestUnitarityAndMapping:
             return
         H = eq.build_reflector(x).dense()
         assert np.abs(H.conj().T @ H - np.eye(len(x))).max() <= 1e-12 * len(x)
+
+
+#: any finite component from -1e300 to 1e300, zero and subnormals included
+_any_scale = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_any_scale_vectors = st.lists(st.tuples(_any_scale, _any_scale), min_size=1, max_size=12)
+
+
+class TestExtremeScales:
+    def test_subnormal_first_entry_phase(self):
+        b = eq.beta0(np.array([2.2e-311j, 1]))
+        assert np.isfinite(b) and b == pytest.approx(1j, abs=1e-15)
+
+    def test_huge_entries_not_identity(self):
+        h = eq.build_reflector(np.array([1e200, 1e200]))
+        assert h.kind == "rank_one"
+        assert np.allclose(h.dense(), H2_DENSE, atol=1e-15)
+
+    def test_tiny_entries_not_zero(self):
+        h = eq.build_reflector(np.array([1e-200, 1e-200]))
+        assert np.allclose(h.dense(), H2_DENSE, atol=1e-15)
+
+    def test_gamma_scale_free(self):
+        assert eq.gamma(np.array([1e-310j, 0.0]), 1.0) == pytest.approx(1.0)
+        assert eq.gamma(np.array([1e300j, 1e300]), 1.0) == pytest.approx(1 / np.sqrt(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(InputError):
+            eq.build_reflector(np.ones(2), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(InputError):
+            eq.build_reflector(np.array([1.0, bad]))
+
+    @given(_any_scale_vectors, st.booleans())
+    def test_unitary_and_mapping_at_any_scale(self, pairs, real):
+        x = np.array([complex(a, b) for a, b in pairs])
+        if real:
+            x = x.real
+        assume(np.any(x != 0))
+        h = eq.build_reflector(x)
+        H = h.dense()
+        n = len(x)
+        assert np.all(np.isfinite(H))
+        assert np.abs(H.conj().T @ H - np.eye(n)).max() <= 1e-12 * n
+        # H' x is a multiple of f: compare on x scaled to unit max entry
+        s = max(np.abs(x.real).max(), np.abs(x.imag).max())
+        xs = x.real / s + 1j * (x.imag / s)  # complex / subnormal overflows
+        y = H.conj().T @ xs
+        assert np.abs(y[1:]).max(initial=0.0) <= 1e-12 * n * np.linalg.norm(xs)
 
 
 class TestScaleBehavior:
