@@ -155,15 +155,13 @@ def _print_report(report: dict, indent: int | None = 2) -> None:
     print(text)
 
 
-def _load_inputs(args, finite_matrix: bool = True):
+def _load_inputs(args):
     """Matrix, weighted indicator and phases of check, transform and split.
 
-    Weights default to ones and phases to "auto". Non-finite weights or
-    phases are an input error, and so is a non-finite matrix unless
-    finite_matrix is False: split leaves that to the eigensolver, which
-    reports it as a numerical failure.
+    Weights default to ones and phases to "auto". Non-finite matrix
+    entries, weights or phases are an input error.
     """
-    A = _read_matrix(args.matrix) if finite_matrix else load_matrix_market(args.matrix).matrix
+    A = _read_matrix(args.matrix)
     n = A.shape[0]
     part = _read_partition(args.partition, n)
     w = _read_weights(args.weights, n) if args.weights else np.ones(n)
@@ -262,7 +260,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_split(args) -> int:
-    A, wi, _ = _load_inputs(args, finite_matrix=False)
+    A, wi, _ = _load_inputs(args)
     result = block_triangularize(A, wi)
     split = spectrum_split(result, tol=args.tol)
 
@@ -379,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", help="starting partition JSON")
     p.add_argument("--weights", help="weight vector JSON (entrywise nonzero)")
     p.add_argument("--color-tol", type=float, default=0.0,
-                   help="absolute tolerance for comparing refinement colors")
+                   help="color tolerance: within a cell, members sorted "
+                   "lexicographically by row-sum signature stay grouped while "
+                   "consecutive signatures differ by at most this in every "
+                   "component (single linkage); 0 groups equal signatures")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("check", help="equitability verdict for a partition")

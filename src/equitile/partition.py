@@ -11,12 +11,13 @@ constant weighted block row aggregates) or W' A = E W' (rear). Deviation
 from it is measured blockwise by the normalized residual vectors.
 
 Every cell aggregate (equitability residuals, quotients, deviations,
-epsilon and regular-equivalence tests) comes from one kernel over the
-block-contiguous layout: rows of A are gathered a bounded block at a time,
-columns in layout order, and np.add.reduceat sums each row over every
-cell. That is O(N^2) time whatever the number of cells k, O(N k) extra
-memory, and no N-by-N temporary. The dense N-by-k indicator W is never
-formed; WeightedIndicator.matrix and indicator_matrix remain as oracles.
+epsilon and regular-equivalence tests, refinement signatures) comes from
+one kernel over the block-contiguous layout: rows of A are gathered a
+bounded block at a time, columns in layout order, and np.add.reduceat
+sums each row over every cell. That is O(N^2) time whatever the number
+of cells k, O(N k) extra memory, and no N-by-N temporary. The dense
+N-by-k indicator W is never formed; WeightedIndicator.matrix and
+indicator_matrix remain as oracles.
 """
 from __future__ import annotations
 
@@ -382,56 +383,62 @@ def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
     return not np.any((counts > 0) & (counts < sizes))
 
 
-def _split_cell(cell: tuple[int, ...], sigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Split one cell by its members' color signatures.
+def _color_groups(A: np.ndarray, lay: _Layout, color_tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One refinement round: layout rows in sorted order, and where groups start.
 
-    Members are sorted lexicographically on the interleaved (real, imag)
-    components of their signatures; a new group starts when any component
-    differs from the group representative by more than tol. Deterministic
-    for ties.
+    Signatures are the rows of one aggregate pass. One lexsort orders them by
+    cell, then lexicographically ((real, imag) per complex component); new
+    marks a change of cell, or consecutive rows that differ by more than
+    color_tol in some component, compared in row blocks of _BLOCK_ENTRIES.
     """
-    sigs = np.asarray(sigs, dtype=complex)
-    keys = np.stack([sigs.real, sigs.imag], axis=2).reshape(len(cell), -1)
-    order = np.lexsort(keys.T[::-1])
-    groups: list[list[int]] = []
-    rep = -1
-    for idx in order:
-        if groups and np.abs(sigs[idx] - sigs[rep]).max() <= tol:
-            groups[-1].append(cell[idx])
-        else:
-            groups.append([cell[idx]])
-            rep = idx
-    return groups
+    R = _aggregate(A, lay)
+    keys = R.T[::-1]
+    if np.iscomplexobj(R):
+        keys = [part for col in keys for part in (col.imag, col.real)]
+    srt = np.lexsort((*keys, lay.labels))
+    cells = lay.labels[srt]
+    new = np.empty(srt.size, dtype=bool)
+    new[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    step = max(1, _BLOCK_ENTRIES // R.shape[1])
+    for a in range(0, srt.size - 1, step):
+        rows = R[srt[a:a + step + 1]]
+        new[a + 1:a + step + 1] |= ~(np.abs(rows[1:] - rows[:-1]) <= color_tol).all(axis=1)
+    return srt, new
 
 
 def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
                                         color_tol: float = 0.0) -> Partition:
     """Coarsest refinement of `initial` against which A is front equitable.
 
-    Classic color refinement: the signature of index u is the vector of its
-    row sums into the current cells; cells split by signature until no cell
-    splits. The fixpoint is unique, so processing order only affects
-    intermediate states. Output is in canonical form.
+    Color refinement: the signature of index u is its vector of row sums
+    into the current cells. Each round sorts every cell's members
+    lexicographically by signature and splits the cell between consecutive
+    members whose signatures differ by more than color_tol in the modulus
+    of some component (single linkage), until no cell splits. A round is
+    one O(N^2) aggregate pass plus a sort of the N-by-k signatures.
+
+    At color_tol 0 the result is the unique coarsest refinement. Above 0 it
+    need be neither equitable nor coarsest, but the groups of a cell take
+    its place in the cell order, so it depends on A, on the cells of
+    `initial` in their order and on color_tol, never on how the indices are
+    labelled. Output is in canonical form.
     """
     A = _square(A)
     if initial is None:
         initial = Partition.single_cell(A.shape[0])
     if A.shape[0] != initial.n:
         raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
-    part = initial.canonical()
+    if not color_tol >= 0:
+        raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
+    part = initial
     while True:
-        # column u of sums holds the per-cell row sums of index u
-        sums = np.stack([A[:, list(c)].sum(axis=1) for c in part.cells], axis=1)
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for c in part.cells:
-            pieces = _split_cell(c, sums[list(c), :], color_tol)
-            if len(pieces) > 1:
-                changed = True
-            new_cells.extend(tuple(sorted(g)) for g in pieces)
-        if not changed:
-            return part
-        part = Partition(tuple(new_cells)).canonical()
+        lay = _layout(part)
+        srt, new = _color_groups(A, lay, color_tol)
+        if np.count_nonzero(new) == part.k:
+            return part.canonical()
+        part = Partition(tuple(np.split(lay.order[srt], np.flatnonzero(new)[1:])))
 
 
 def weighted_refinement(A, w, initial: Partition | None = None,

@@ -24,9 +24,6 @@ from .errors import InputError, NumericalError, RankDeficiencyError
 #: per-block rank test: smallest singular value must exceed this times the largest
 RANK_RTOL = 1e-10
 
-#: eigenvalue floor (relative to the largest) for Gram inverse square roots
-GRAM_FLOOR_RTOL = 1e-12
-
 
 def padded_identity(n: int, r: int) -> np.ndarray:
     """The n-by-r matrix (I_r; 0): columns are the first r basis vectors."""
@@ -66,19 +63,13 @@ def omega_nr_permutation(r_sizes: Sequence[int], n_sizes: Sequence[int]) -> np.n
     for ri, ni in zip(r_sizes, n_sizes):
         if not 0 < ri <= ni:
             raise InputError(f"need 0 < r_i <= n_i, got r_i={ri}, n_i={ni}")
-    r = sum(r_sizes)
-    out = np.empty(sum(n_sizes), dtype=int)
-    off = lead = 0
-    tail = r
-    for ri, ni in zip(r_sizes, n_sizes):
-        for s in range(ni):
-            if s < ri:
-                out[off + s] = lead + s
-            else:
-                out[off + s] = tail
-                tail += 1
-        off += ni
-        lead += ri
+    r, n = sum(r_sizes), sum(n_sizes)
+    starts = np.cumsum(n_sizes) - n_sizes
+    offset = np.arange(n) - np.repeat(starts, n_sizes)
+    lead = offset < np.repeat(r_sizes, n_sizes)
+    out = np.empty(n, dtype=int)
+    out[lead] = np.arange(r)
+    out[~lead] = np.arange(r, n)
     out.setflags(write=False)
     return out
 
@@ -212,45 +203,33 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
     )
 
 
-def _gram_inv_sqrt(W: np.ndarray, floor_rtol: float = GRAM_FLOOR_RTOL) -> np.ndarray:
-    """(W'W)^{-1/2} of one block via a Hermitian eigendecomposition."""
-    G = W.conj().T @ W
-    lam, Q = np.linalg.eigh((G + G.conj().T) / 2.0)
-    if lam[-1] <= 0 or lam[0] <= floor_rtol * lam[-1]:
-        raise RankDeficiencyError(
-            f"Gram matrix numerically rank deficient (eigenvalues {lam})"
-        )
-    return (Q * lam**-0.5) @ Q.conj().T
+def _column_bases(A, wm_blocks, wp_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A checked against the side block grids, and both sides' column bases.
 
-
-def _column_basis_closed(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    return assemble_block_diagonal(
-        [_coerce_block(W) @ _gram_inv_sqrt(_coerce_block(W)) for W in blocks]
-    )
-
-
-def _check_grid(A: np.ndarray, wm_blocks, wp_blocks) -> None:
+    The column basis of a side is the isometry W (W'W)^{-1/2} of
+    BlockSVD.column_basis, so blocks without full column rank are rejected
+    at RANK_RTOL, as block_svd rejects them.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise InputError(f"2-d matrix required, got shape {A.shape}")
     m = sum(np.asarray(W).shape[0] for W in wm_blocks)
     n = sum(np.asarray(W).shape[0] for W in wp_blocks)
     if A.shape != (m, n):
         raise InputError(
             f"matrix shape {A.shape} does not match side block rows ({m}, {n})"
         )
+    return A, block_svd(wm_blocks).column_basis(), block_svd(wp_blocks).column_basis()
 
 
 def rayleigh_quotient_rect(A, wm_blocks: Sequence[np.ndarray],
                            wp_blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Two-sided Rayleigh quotient (Wm'Wm)^{-1/2} Wm' A Wp (Wp'Wp)^{-1/2}.
 
-    Gram roots are taken per block, so they stay small Hermitian problems.
+    The side bases come from per-block SVDs, so they stay small problems.
     The result does not depend on which per-block SVDs one would pick.
     """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InputError(f"2-d matrix required, got shape {A.shape}")
-    _check_grid(A, wm_blocks, wp_blocks)
-    Km = _column_basis_closed(wm_blocks)
-    Kp = _column_basis_closed(wp_blocks)
+    A, Km, Kp = _column_bases(A, wm_blocks, wp_blocks)
     return Km.conj().T @ A @ Kp
 
 
@@ -262,12 +241,7 @@ def deviation_rect(A, wm_blocks: Sequence[np.ndarray],
     per-side column-basis isometry W (W'W)^{-1/2}. Both are invariant under
     the choice of block SVD factors.
     """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InputError(f"2-d matrix required, got shape {A.shape}")
-    _check_grid(A, wm_blocks, wp_blocks)
-    Km = _column_basis_closed(wm_blocks)
-    Kp = _column_basis_closed(wp_blocks)
+    A, Km, Kp = _column_bases(A, wm_blocks, wp_blocks)
     E0 = Km.conj().T @ A @ Kp
     T_minus = A @ Kp - Km @ E0
     T_plus = A.conj().T @ Km - Kp @ E0.conj().T
@@ -275,13 +249,37 @@ def deviation_rect(A, wm_blocks: Sequence[np.ndarray],
 
 
 @dataclass(frozen=True, eq=False)
-class RectResult:
-    """Blocks of Om' Um' A Up Op plus the side factorizations."""
+class _BlockForm:
+    """The four blocks of a gathered transform [[E, D_plus_conj], [D_minus, F]]."""
 
     E: np.ndarray
     D_minus: np.ndarray
     D_plus_conj: np.ndarray
     F: np.ndarray
+
+    def assembled(self) -> np.ndarray:
+        return np.block([[self.E, self.D_plus_conj], [self.D_minus, self.F]])
+
+
+def _gather_blocks(M: np.ndarray, row_omega: np.ndarray, col_omega: np.ndarray,
+                   q: int, r: int) -> tuple[np.ndarray, ...]:
+    """E, D_minus, D_plus_conj and F of M, as read-only copies.
+
+    Rows and columns are gathered by the forward maps row_omega and
+    col_omega, then cut after q rows and r columns.
+    """
+    rows, cols = np.argsort(row_omega), np.argsort(col_omega)
+    blocks = tuple(M[np.ix_(a, b)] for a, b in ((rows[:q], cols[:r]), (rows[q:], cols[:r]),
+                                                 (rows[:q], cols[r:]), (rows[q:], cols[r:])))
+    for B in blocks:
+        B.setflags(write=False)
+    return blocks
+
+
+@dataclass(frozen=True, eq=False)
+class RectResult(_BlockForm):
+    """Blocks of Om' Um' A Up Op plus the side factorizations."""
+
     left: BlockSVD
     right: BlockSVD
 
@@ -291,16 +289,6 @@ class RectResult:
             self.E.shape[0] + self.F.shape[0],
             self.E.shape[1] + self.F.shape[1],
         )
-
-    def assembled(self) -> np.ndarray:
-        q, r = self.E.shape
-        m, n = self.shape
-        out = np.zeros((m, n), dtype=np.result_type(self.E, self.F))
-        out[:q, :r] = self.E
-        out[:q, r:] = self.D_plus_conj
-        out[q:, :r] = self.D_minus
-        out[q:, r:] = self.F
-        return out
 
     def rayleigh_quotient(self) -> np.ndarray:
         """E0 = V_left E V_right', recovered from the stored factors."""
@@ -322,7 +310,6 @@ def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
         raise InputError(
             f"matrix shape {A.shape} does not match factors ({left.m}, {right.m})"
         )
-    q, r = left.q, right.q
     out_dtype = np.result_type(
         A.dtype,
         *(u.dtype for u in left.u_blocks),
@@ -337,15 +324,5 @@ def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
     for u in right.u_blocks:
         M[:, co : co + u.shape[0]] = M[:, co : co + u.shape[0]] @ u
         co += u.shape[0]
-    oim = np.argsort(left.omega)
-    oip = np.argsort(right.omega)
-    Ah = M[np.ix_(oim, oip)]
-    E = Ah[:q, :r].copy()
-    D_minus = Ah[q:, :r].copy()
-    D_plus_conj = Ah[:q, r:].copy()
-    F = Ah[q:, r:].copy()
-    for B in (E, D_minus, D_plus_conj, F):
-        B.setflags(write=False)
-    return RectResult(
-        E=E, D_minus=D_minus, D_plus_conj=D_plus_conj, F=F, left=left, right=right
-    )
+    return RectResult(*_gather_blocks(M, left.omega, right.omega, left.q, right.q),
+                      left=left, right=right)

@@ -31,6 +31,7 @@ from .partition import (
     require_admissible,
     suitable_indexing_permutation,
 )
+from .rectangular import _BlockForm, _gather_blocks, omega_nr_permutation
 from .reflector import ElementaryUnitary, beta0, build_reflector, _check_phase
 
 
@@ -228,22 +229,11 @@ def omega_permutation(n_sizes: Sequence[int]) -> np.ndarray:
         raise InputError("at least one block size required")
     if any(s < 1 for s in sizes):
         raise InputError(f"block sizes must be positive, got {sizes}")
-    k = len(sizes)
-    out = np.empty(sum(sizes), dtype=int)
-    off = 0
-    tail = k
-    for i, ni in enumerate(sizes):
-        out[off] = i
-        for m in range(1, ni):
-            out[off + m] = tail
-            tail += 1
-        off += ni
-    out.setflags(write=False)
-    return out
+    return omega_nr_permutation([1] * len(sizes), sizes)
 
 
 @dataclass(frozen=True, eq=False)
-class TriangularizationResult:
+class TriangularizationResult(_BlockForm):
     """The four blocks of Omega' H' P' A P H Omega plus all transforms.
 
     pre_permutation is the suitable-indexing relabeling applied first,
@@ -251,10 +241,6 @@ class TriangularizationResult:
     lives in the suitably indexed frame.
     """
 
-    E: np.ndarray
-    D_minus: np.ndarray
-    D_plus_conj: np.ndarray
-    F: np.ndarray
     reflector: BlockReflector
     omega: np.ndarray
     pre_permutation: np.ndarray
@@ -268,15 +254,6 @@ class TriangularizationResult:
     def k(self) -> int:
         return self.E.shape[0]
 
-    def assembled(self) -> np.ndarray:
-        k, n = self.k, self.n
-        out = np.zeros((n, n), dtype=np.result_type(self.E, self.F))
-        out[:k, :k] = self.E
-        out[:k, k:] = self.D_plus_conj
-        out[k:, :k] = self.D_minus
-        out[k:, k:] = self.F
-        return out
-
 
 def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> TriangularizationResult:
     """Run the full pipeline: relabel, conjugate by H, gather with Omega.
@@ -288,7 +265,7 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
     p = wi.partition
     A = _square(A, p.n)
     require_admissible(wi)
-    n, k = p.n, p.k
+    k = p.k
     sizes = p.sizes
 
     perm = suitable_indexing_permutation(p)
@@ -305,20 +282,8 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
 
     At = refl.conjugate(A_s)
     om = omega_permutation(sizes)
-    oinv = np.argsort(om)
-    Ah = At[np.ix_(oinv, oinv)]
-
-    E = Ah[:k, :k].copy()
-    D_minus = Ah[k:, :k].copy()
-    D_plus_conj = Ah[:k, k:].copy()
-    F = Ah[k:, k:].copy()
-    for B in (E, D_minus, D_plus_conj, F):
-        B.setflags(write=False)
     return TriangularizationResult(
-        E=E,
-        D_minus=D_minus,
-        D_plus_conj=D_plus_conj,
-        F=F,
+        *_gather_blocks(At, om, om, k, k),
         reflector=refl,
         omega=om,
         pre_permutation=perm,

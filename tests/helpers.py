@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 import equitile as eq
+from equitile.rectangular import assemble_block_diagonal
 
 A0 = np.array(
     [
@@ -246,3 +247,38 @@ def dense_aggregates(A, wi: eq.WeightedIndicator, Theta) -> dict:
         "theta_front": np.linalg.norm((A @ W - W @ Theta) / nrm),
         "theta_rear": np.linalg.norm((W.conj().T @ A - Theta @ W.conj().T) / nrm[:, None]),
     }
+
+
+def refine_oracle(A, initial: eq.Partition | None = None) -> eq.Partition:
+    """Coarsest front equitable refinement by a naive fixpoint: refinement's oracle.
+
+    Signatures are the rows of A @ indicator_matrix(part); the members of
+    each cell are grouped by their exact signature tuples until no cell
+    splits. Exact for integer-valued A.
+    """
+    A = np.asarray(A)
+    part = eq.Partition.single_cell(A.shape[0]) if initial is None else initial
+    while True:
+        S = A @ eq.indicator_matrix(part)
+        groups: dict[tuple, list[int]] = {}
+        for i, cell in enumerate(part.cells):
+            for v in cell:
+                groups.setdefault((i, tuple(S[v])), []).append(v)
+        finer = eq.Partition.from_cells(groups.values()).canonical()
+        if finer.k == part.k:
+            return finer
+        part = finer
+
+
+def gram_column_basis(blocks) -> np.ndarray:
+    """Block diagonal of the isometries W (W'W)^{-1/2}: the column-basis oracle.
+
+    Each Gram root comes from a Hermitian eigendecomposition of W'W, so it
+    shares no code with the per-block SVDs of the library.
+    """
+    parts = []
+    for W in blocks:
+        W = np.asarray(W)
+        lam, Q = np.linalg.eigh(W.conj().T @ W)
+        parts.append(W @ (Q * lam**-0.5) @ Q.conj().T)
+    return assemble_block_diagonal(parts)

@@ -53,6 +53,16 @@ class TestRefine:
         assert code == 0
         assert json.loads(out) == {"n": 3, "cells": [[1, 3], [2]]}
 
+    def test_color_tol_single_linkage(self, capsys, tmp_path):
+        mf = tmp_path / "diag.mtx"
+        save_matrix_market(mf, np.diag([0.0, 0.6, 1.2]))
+        code, out = run_cli(capsys, "refine", str(mf), "--color-tol", "0.7")
+        assert code == 0
+        assert json.loads(out)["cells"] == [[1, 2, 3]]
+        code, out = run_cli(capsys, "refine", str(mf), "--color-tol", "0.5")
+        assert code == 0
+        assert json.loads(out)["cells"] == [[1], [2], [3]]
+
     def test_weighted_requires_nonzero(self, capsys, a0_file, tmp_path):
         wf = tmp_path / "w.json"
         wf.write_text(json.dumps([1, 0, 1, 1, 1, 1]))
@@ -389,16 +399,15 @@ class TestExitCodes:
         assert json.loads(out)["is_equitable"] is True
 
     def test_numerical_failure(self, capsys, tmp_path):
-        nf = tmp_path / "nan.mtx"
-        nf.write_text(
-            "%%MatrixMarket matrix array real general\n2 2\nnan\n0.0\n0.0\n1.0\n"
-        )
+        # finite input whose transform overflows: the eigensolver refuses it
+        mf = tmp_path / "huge.mtx"
+        save_matrix_market(mf, np.full((2, 2), 1e308))
         pf = tmp_path / "p.json"
         pf.write_text(json.dumps({"n": 2, "cells": [[1, 2]]}))
-        code, _ = run_cli(capsys, "split", str(nf), str(pf))
+        code, _ = run_cli(capsys, "split", str(mf), str(pf))
         assert code == 4
 
-    @pytest.mark.parametrize("command", ["check", "refine"])
+    @pytest.mark.parametrize("command", ["check", "refine", "split"])
     def test_non_finite_matrix_rejected(self, capsys, tmp_path, command):
         nf = tmp_path / "nan.mtx"
         nf.write_text(
@@ -406,7 +415,7 @@ class TestExitCodes:
         )
         pf = tmp_path / "p.json"
         pf.write_text(json.dumps({"n": 2, "cells": [[1, 2]]}))
-        argv = [command, str(nf)] + ([str(pf)] if command == "check" else [])
+        argv = [command, str(nf)] + ([] if command == "refine" else [str(pf)])
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2

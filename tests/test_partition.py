@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import equitile as eq
+from equitile import partition
 from equitile.errors import AdmissibilityError, InputError
 
 from helpers import (
@@ -14,6 +17,7 @@ from helpers import (
     all_partitions,
     random_partition,
     random_weights,
+    refine_oracle,
 )
 
 
@@ -301,6 +305,77 @@ class TestRefinement:
                 np.zeros((3, 3)), eq.Partition.single_cell(4)
             )
 
+    @pytest.mark.parametrize("block_entries", [None, 5])
+    @pytest.mark.parametrize("dtype", ["real", "complex", "bool"])
+    def test_matches_naive_fixpoint(self, rng, monkeypatch, dtype, block_entries):
+        if block_entries:
+            # tiny row blocks put block boundaries between most sorted rows
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block_entries)
+        for _ in range(70):
+            n = int(rng.integers(1, 13))
+            if dtype == "real":
+                A = rng.integers(-2, 3, size=(n, n)).astype(float)
+            elif dtype == "complex":
+                A = rng.integers(-2, 3, size=(n, n)) + 1j * rng.integers(-2, 3, size=(n, n))
+            else:
+                A = rng.integers(0, 2, size=(n, n)).astype(bool)
+            initial = _shuffled_cells(rng, random_partition(rng, n))
+            assert eq.coarsest_front_equitable_refinement(A, initial) == \
+                refine_oracle(A, initial)
+
+    @pytest.mark.parametrize("color_tol", [0.0, 0.3])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_permutation_equivariant(self, rng, color_tol, complex_entries):
+        # entries 0 or 1/4 keep every sum exact and put many signatures
+        # within 0.3 of each other, so at 0.3 groups chain across members
+        def relabel(p, perm):
+            return eq.Partition.from_cells([[perm[v] for v in c] for c in p.cells])
+
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            A = rng.integers(0, 2, size=(n, n)) / 4
+            if complex_entries:
+                A = A + 1j * rng.integers(0, 2, size=(n, n)) / 4
+            initial = _shuffled_cells(rng, random_partition(rng, n, min(n, 3)))
+            perm = rng.permutation(n)  # index v becomes perm[v]
+            inv = np.argsort(perm)
+            out = eq.coarsest_front_equitable_refinement(A, initial, color_tol)
+            moved = eq.coarsest_front_equitable_refinement(
+                A[np.ix_(inv, inv)], relabel(initial, perm), color_tol
+            )
+            assert moved == relabel(out, perm).canonical()
+
+    def test_color_tol_is_single_linkage(self):
+        # consecutive signatures 0, 0.6, 1.2 differ by 0.6: linked at 0.7
+        # although the ends differ by 1.2, all apart at 0.5
+        A = np.diag([0.0, 0.6, 1.2])
+        assert eq.coarsest_front_equitable_refinement(A, color_tol=0.7) == \
+            eq.Partition.single_cell(3)
+        assert eq.coarsest_front_equitable_refinement(A, color_tol=0.5) == \
+            eq.Partition.singletons(3)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(InputError):
+                eq.coarsest_front_equitable_refinement(A, color_tol=bad)
+
+    def test_grid_peak_memory_below_dense_copy(self):
+        # a 30x40 grid refines in 30 rounds into 300 cells; no round may
+        # hold a float64 copy of A
+        r, c = 30, 40
+        n = r * c
+        idx = np.arange(n).reshape(r, c)
+        A = np.zeros((n, n), dtype=np.int64)
+        for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:])):
+            A[a.ravel(), b.ravel()] = A[b.ravel(), a.ravel()] = 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = eq.coarsest_front_equitable_refinement(A)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.k == 300
+        assert peak < n * n * 8
+
 
 class TestWeightedRefinement:
     def test_unit_weights_match_unweighted(self, rng):
@@ -345,3 +420,8 @@ def _random_front_equitable(rng, n, k):
             A[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = Theta[i, j] / sizes[j]
     cells = [tuple(range(offs[i], offs[i + 1])) for i in range(k)]
     return A, eq.Partition.from_cells(cells), Theta
+
+
+def _shuffled_cells(rng, p):
+    """p with its cells in random order: neither contiguous nor canonical."""
+    return eq.Partition.from_cells([p.cells[i] for i in rng.permutation(p.k)])

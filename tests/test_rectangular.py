@@ -9,6 +9,7 @@ from helpers import (
     A_SUIT,
     E_HAT,
     F_HAT,
+    gram_column_basis,
     random_blocks,
     random_complex_matrix,
     random_partition,
@@ -163,6 +164,26 @@ class TestRayleighQuotientRect:
         right = random_blocks(rng, 2)
         with pytest.raises(InputError):
             eq.rayleigh_quotient_rect(np.zeros((1, 1)), left, right)
+
+
+class TestGramOracle:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_quotient_and_deviations_match_gram_roots(self, rng, complex_entries):
+        for _ in range(10):
+            left = random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries)
+            right = random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries)
+            Km, Kp = gram_column_basis(left), gram_column_basis(right)
+            A = random_complex_matrix(rng, Km.shape[0], Kp.shape[0])
+            if not complex_entries:
+                A = A.real
+            E0 = Km.conj().T @ A @ Kp
+            Tm, Tp = eq.deviation_rect(A, left, right)
+            # the Gram route loses digits as the square of a block's condition
+            kappa = max(np.linalg.cond(W) for W in left + right)
+            tol = 1e-13 * kappa**2 * max(1, np.abs(A).max())
+            assert np.abs(eq.rayleigh_quotient_rect(A, left, right) - E0).max() <= tol
+            assert np.abs(Tm - (A @ Kp - Km @ E0)).max() <= tol
+            assert np.abs(Tp - (A.conj().T @ Km - Kp @ E0.conj().T)).max() <= tol
 
 
 class TestDeviationRect:
