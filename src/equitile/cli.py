@@ -223,13 +223,10 @@ def cmd_transform(args) -> int:
         vecs_E = np.linalg.eig(np.asarray(result.E))[1] if result.E.size else np.zeros((0, 0))
         vecs_F = np.linalg.eig(np.asarray(result.F))[1] if result.F.size else np.zeros((0, 0))
         k = result.k
-        V = np.zeros((result.n, result.n), dtype=complex)
         Z = np.zeros((result.n, result.n), dtype=complex)
         Z[:k, :k] = vecs_E
         Z[k:, k:] = vecs_F
-        for col in range(result.n):
-            V[:, col] = recover_eigenvector(result, Z[:, col])
-        files["eigvecs"] = _emit(args.out_dir, "eigvecs", V)
+        files["eigvecs"] = _emit(args.out_dir, "eigvecs", recover_eigenvector(result, Z))
 
     front, rear = deviation_matrices(A, wi)
     split = spectrum_split(result, tol=args.tol)

@@ -102,9 +102,9 @@ class Partition:
 
     def labels(self) -> np.ndarray:
         """Array mapping each index to its cell number."""
+        lay = _layout(self)
         lab = np.empty(self.n, dtype=int)
-        for i, c in enumerate(self.cells):
-            lab[list(c)] = i
+        lab[lay.order] = lay.labels
         return lab
 
     def refines(self, other: "Partition") -> bool:
@@ -200,18 +200,16 @@ def suitable_indexing_permutation(p: Partition) -> np.ndarray:
     fill the free slots in ascending order. Relabeling A as A[inv, inv]
     with inv = argsort(sigma) yields the block-contiguous layout.
     """
+    order, starts, labels = _layout(p)
+    ends = np.append(starts[1:], p.n)
+    keep = (order >= starts[labels]) & (order < ends[labels])
+    taken = np.zeros(p.n, dtype=bool)
+    taken[order[keep]] = True
     perm = np.empty(p.n, dtype=int)
-    off = 0
-    for c in p.cells:
-        slots = set(range(off, off + len(c)))
-        keep = [v for v in c if v in slots]
-        free = sorted(slots - set(keep))
-        for v in keep:
-            perm[v] = v
-        movers = [v for v in c if v not in slots]
-        for v, s in zip(movers, free):
-            perm[v] = s
-        off += len(c)
+    perm[order[keep]] = order[keep]
+    # movers in layout order fill the free slots, which are ascending and
+    # grouped by the cell whose range holds them
+    perm[order[~keep]] = np.flatnonzero(~taken)
     perm.setflags(write=False)
     return perm
 
@@ -219,9 +217,9 @@ def suitable_indexing_permutation(p: Partition) -> np.ndarray:
 class _Layout(NamedTuple):
     """Block-contiguous layout of a partition.
 
-    Position p holds index order[p]: the cells in order, members ascending.
-    Cell i occupies positions starts[i] up to starts[i + 1], and labels[p]
-    is the cell of position p.
+    Position p holds index order[p]: the cells in order, members ascending
+    (in signature order between refinement rounds). Cell i occupies positions
+    starts[i] up to starts[i + 1], and labels[p] is the cell of position p.
     """
 
     order: np.ndarray
@@ -432,13 +430,12 @@ def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
         raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
     if not color_tol >= 0:
         raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
-    part = initial
+    lay = _layout(initial)
     while True:
-        lay = _layout(part)
         srt, new = _color_groups(A, lay, color_tol)
-        if np.count_nonzero(new) == part.k:
-            return part.canonical()
-        part = Partition(tuple(np.split(lay.order[srt], np.flatnonzero(new)[1:])))
+        if np.count_nonzero(new) == lay.starts.size:
+            return Partition(tuple(np.split(lay.order, lay.starts[1:]))).canonical()
+        lay = _Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
 
 
 def weighted_refinement(A, w, initial: Partition | None = None,

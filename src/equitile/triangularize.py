@@ -19,10 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import opcount
 from .errors import InputError, NumericalError
 from .partition import (
+    _BLOCK_ENTRIES,
     Partition,
     WeightedIndicator,
+    _Layout,
     _aggregate,
     _cell_sums,
     _deviation,
@@ -126,9 +129,11 @@ def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, Devia
 class BlockReflector:
     """Block diagonal unitary: one elementary unitary per cell.
 
-    Applies to matrices and vectors in the block-contiguous layout given by
-    the partition's cell sizes. Storage is O(N); application to an N-by-N
-    matrix costs O(N^2).
+    Acts in the block-contiguous layout of the partition. Stacked, H is
+    I + Y diag(c) Y' with Y the N-by-k block diagonal of the cells' unit
+    vectors, and every application is one rank-one kernel whose Y'X is a
+    weighted segment sum over the layout: storage is O(N), and applying it
+    to an N-by-m matrix costs O(N m) whatever k.
     """
 
     reflectors: tuple[ElementaryUnitary, ...]
@@ -143,68 +148,66 @@ class BlockReflector:
     def n(self) -> int:
         return self.partition.n
 
-    def _offsets(self):
-        offs = np.concatenate([[0], np.cumsum(self.sizes)])
-        return offs
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, _Layout]:
+        """Stacked unit vectors y (zero on identity cells), coefficients c, layout."""
+        y = np.concatenate([np.zeros(h.dim) if h.y is None else h.y for h in self.reflectors])
+        return y, np.array([h.coeff for h in self.reflectors]), _layout(self.partition)
+
+    def _rank_one(self, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """X += Y diag(c) Y' X in place for an N-by-m X, in column blocks of
+        _BLOCK_ENTRIES entries so the temporaries are of the block size."""
+        lay = self._stacked[2]
+        yc = (c[lay.labels] * y)[:, None]
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        for a in range(0, X.shape[1], step):
+            blk = X[:, a:a + step]
+            blk += yc * _cell_sums(blk, lay, y)[lay.labels]
+        opcount.add(2 * X.size + self.n)
+        return X
+
+    def _cast(self, M, axis: int, ndims=(2,), copy: bool = True) -> np.ndarray:
+        """M checked to have N entries along axis, in the dtype of H M."""
+        M = np.asarray(M)
+        if M.ndim not in ndims or M.shape[axis] != self.n:
+            what = "rows" if axis == 0 else "columns"
+            raise InputError(f"array with {self.n} {what} required, got {M.shape}")
+        y, c, _ = self._stacked
+        return M.astype(np.result_type(M.dtype, y.dtype, c.dtype), copy=copy)
+
+    def _conjugate_in_place(self, X: np.ndarray) -> np.ndarray:
+        """X <- H' X H: H' = I + Y diag(conj c) Y' on the rows of X, then
+        H^T = I + conj(Y) diag(c) Y^T on the rows of X^T."""
+        y, c, _ = self._stacked
+        self._rank_one(X, y, c.conj())
+        self._rank_one(X.T, y.conj(), c)
+        return X
 
     def apply_left(self, M) -> np.ndarray:
-        """H' M, blockwise over the rows."""
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[0] != self.n:
-            raise InputError(f"matrix with {self.n} rows required, got {M.shape}")
-        out = np.array(M, dtype=np.result_type(M.dtype, *(h.coeff for h in self.reflectors)))
-        offs = self._offsets()
-        for h, a, b in zip(self.reflectors, offs, offs[1:]):
-            out[a:b, :] = h.apply_left(out[a:b, :])
-        return out
+        """H' M, for M with N rows."""
+        y, c, _ = self._stacked
+        return self._rank_one(self._cast(M, 0), y, c.conj())
 
     def apply_right(self, M) -> np.ndarray:
-        """M H, blockwise over the columns."""
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[1] != self.n:
-            raise InputError(f"matrix with {self.n} columns required, got {M.shape}")
-        out = np.array(M, dtype=np.result_type(M.dtype, *(h.coeff for h in self.reflectors)))
-        offs = self._offsets()
-        for h, a, b in zip(self.reflectors, offs, offs[1:]):
-            out[:, a:b] = h.apply_right(out[:, a:b])
+        """M H, for M with N columns."""
+        y, c, _ = self._stacked
+        out = self._cast(M, 1)
+        self._rank_one(out.T, y.conj(), c)
         return out
 
     def conjugate(self, A) -> np.ndarray:
-        """H' A H."""
-        return self.apply_right(self.apply_left(A))
+        """H' A H, for an N-by-N A."""
+        return self._conjugate_in_place(self._cast(_square(A, self.n), 0))
 
     def matvec(self, v) -> np.ndarray:
-        """H v."""
-        v = np.asarray(v)
-        if v.shape != (self.n,):
-            raise InputError(f"vector of length {self.n} required, got {v.shape}")
-        out = np.array(v, dtype=np.result_type(v.dtype, *(h.coeff for h in self.reflectors)))
-        offs = self._offsets()
-        for h, a, b in zip(self.reflectors, offs, offs[1:]):
-            out[a:b] = h.matvec(out[a:b])
+        """H v for a vector of length N, or H V for a matrix V with N rows."""
+        y, c, _ = self._stacked
+        out = self._cast(v, 0, (1, 2))
+        self._rank_one(out if out.ndim == 2 else out[:, None], y, c)
         return out
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        offs = self._offsets()
-        for h, a, b in zip(self.reflectors, offs, offs[1:]):
-            out[a:b, a:b] = h.dense()
-        return out
-
-
-def _reflector_from_blocks(blocks: Sequence[np.ndarray], phases,
-                           partition: Partition) -> BlockReflector:
-    k = len(blocks)
-    if phases is None or isinstance(phases, str):
-        if phases not in (None, "auto"):
-            raise InputError(f"phases must be 'auto' or a sequence, got {phases!r}")
-        betas = tuple(beta0(b) for b in blocks)
-    else:
-        betas = tuple(_check_phase(b) for b in phases)
-        if len(betas) != k:
-            raise InputError(f"expected {k} phases, got {len(betas)}")
-    refl = tuple(build_reflector(b, beta) for b, beta in zip(blocks, betas))
-    return BlockReflector(reflectors=refl, phases=betas, partition=partition)
+        return self.matvec(np.eye(self.n))
 
 
 def build_block_reflector(wi: WeightedIndicator, phases="auto") -> BlockReflector:
@@ -214,8 +217,18 @@ def build_block_reflector(wi: WeightedIndicator, phases="auto") -> BlockReflecto
     suitably indexed (block-contiguous) matrices.
     """
     require_admissible(wi)
-    blocks = [wi.cell_weights(i) for i in range(wi.partition.k)]
-    return _reflector_from_blocks(blocks, phases, wi.partition)
+    k = wi.partition.k
+    blocks = [wi.cell_weights(i) for i in range(k)]
+    if phases is None or isinstance(phases, str):
+        if phases not in (None, "auto"):
+            raise InputError(f"phases must be 'auto' or a sequence, got {phases!r}")
+        betas = tuple(beta0(b) for b in blocks)
+    else:
+        betas = tuple(_check_phase(b) for b in phases)
+        if len(betas) != k:
+            raise InputError(f"expected {k} phases, got {len(betas)}")
+    refl = tuple(build_reflector(b, beta) for b, beta in zip(blocks, betas))
+    return BlockReflector(reflectors=refl, phases=betas, partition=wi.partition)
 
 
 def omega_permutation(n_sizes: Sequence[int]) -> np.ndarray:
@@ -260,27 +273,20 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
 
     The suitable-indexing permutation is applied first so non-contiguous
     partitions are accepted; the reflector is then built from the permuted
-    weight blocks and applied blockwise in O(N^2).
+    weight blocks and applied in O(N^2) whatever k.
     """
     p = wi.partition
     A = _square(A, p.n)
-    require_admissible(wi)
     k = p.k
     sizes = p.sizes
 
     perm = suitable_indexing_permutation(p)
     inv = np.argsort(perm)
-    A_s = A[np.ix_(inv, inv)]
-    if A_s.dtype.kind in "iub":
-        A_s = A_s.astype(np.float64)
-    w_s = wi.weights[inv]
+    contiguous = Partition(tuple(np.split(np.arange(p.n), np.cumsum(sizes)[:-1])))
+    refl = build_block_reflector(WeightedIndicator(contiguous, wi.weights[inv]), phases)
 
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = [w_s[a:b] for a, b in zip(offs, offs[1:])]
-    contiguous = Partition(tuple(tuple(range(a, b)) for a, b in zip(offs, offs[1:])))
-    refl = _reflector_from_blocks(blocks, phases, contiguous)
-
-    At = refl.conjugate(A_s)
+    # the one N-by-N working array: the relabelled copy, conjugated in place
+    At = refl._conjugate_in_place(refl._cast(A[np.ix_(inv, inv)], 0, copy=False))
     om = omega_permutation(sizes)
     return TriangularizationResult(
         *_gather_blocks(At, om, om, k, k),
@@ -292,16 +298,15 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
 
 
 def recover_eigenvector(r: TriangularizationResult, z_hat) -> np.ndarray:
-    """Map an eigenvector of the transformed matrix back to one of A.
+    """Map eigenvectors of the transformed matrix back to eigenvectors of A.
 
-    Applies Omega, then H, then undoes the suitable-indexing relabeling.
+    Takes one vector of length N or an N-by-m matrix of column vectors and
+    applies Omega, then H, then undoes the suitable-indexing relabeling.
     """
     z = np.asarray(z_hat)
-    if z.shape != (r.n,):
-        raise InputError(f"vector of length {r.n} required, got {z.shape}")
-    v = z[r.omega]
-    v = r.reflector.matvec(v)
-    return v[r.pre_permutation]
+    if z.ndim not in (1, 2) or z.shape[0] != r.n:
+        raise InputError(f"array of 1 or 2 dimensions with {r.n} rows required, got {z.shape}")
+    return r.reflector.matvec(z[r.omega])[r.pre_permutation]
 
 
 def _eigvals(M: np.ndarray) -> np.ndarray:

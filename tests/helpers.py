@@ -282,3 +282,73 @@ def gram_column_basis(blocks) -> np.ndarray:
         lam, Q = np.linalg.eigh(W.conj().T @ W)
         parts.append(W @ (Q * lam**-0.5) @ Q.conj().T)
     return assemble_block_diagonal(parts)
+
+
+class BlockwiseReflector:
+    """BlockReflector applied one cell at a time: the rank-one kernel's oracle.
+
+    Every cell's ElementaryUnitary acts on its own rows or columns through
+    its own methods, with the result dtype of the cell coefficients, so it
+    shares no code with the segment-sum kernel.
+    """
+
+    def __init__(self, refl: eq.BlockReflector):
+        self.reflectors = refl.reflectors
+        self.n = refl.n
+        offs = np.concatenate([[0], np.cumsum(refl.sizes)])
+        self.cells = list(zip(self.reflectors, offs, offs[1:]))
+
+    def _copy(self, M):
+        return np.array(M, dtype=np.result_type(M.dtype, *(h.coeff for h in self.reflectors)))
+
+    def apply_left(self, M):
+        out = self._copy(M)
+        for h, a, b in self.cells:
+            out[a:b, :] = h.apply_left(out[a:b, :])
+        return out
+
+    def apply_right(self, M):
+        out = self._copy(M)
+        for h, a, b in self.cells:
+            out[:, a:b] = h.apply_right(out[:, a:b])
+        return out
+
+    def conjugate(self, A):
+        return self.apply_right(self.apply_left(A))
+
+    def matvec(self, v):
+        out = self._copy(v)
+        if out.ndim == 2:
+            for j in range(out.shape[1]):
+                out[:, j] = self.matvec(out[:, j])
+            return out
+        for h, a, b in self.cells:
+            out[a:b] = h.matvec(out[a:b])
+        return out
+
+    def dense(self):
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for h, a, b in self.cells:
+            out[a:b, a:b] = h.dense()
+        return out
+
+
+def suitable_indexing_oracle(p: eq.Partition) -> np.ndarray:
+    """Suitable-indexing permutation by a loop over cells with index sets.
+
+    Members already inside their cell's target range keep their index; the
+    others, ascending, take the free slots of the range in ascending order.
+    """
+    perm = np.empty(p.n, dtype=int)
+    off = 0
+    for c in p.cells:
+        slots = set(range(off, off + len(c)))
+        keep = [v for v in c if v in slots]
+        free = sorted(slots - set(keep))
+        for v in keep:
+            perm[v] = v
+        movers = [v for v in c if v not in slots]
+        for v, s in zip(movers, free):
+            perm[v] = s
+        off += len(c)
+    return perm

@@ -18,6 +18,7 @@ from helpers import (
     random_partition,
     random_weights,
     refine_oracle,
+    suitable_indexing_oracle,
 )
 
 
@@ -111,6 +112,17 @@ class TestSuitableIndexing:
             for c in p.cells:
                 assert sorted(perm[list(c)]) == list(range(off, off + len(c)))
                 off += len(c)
+
+    def test_matches_loop_over_cells(self, rng):
+        # cells in random order, so members move across most ranges
+        for _ in range(300):
+            n = int(rng.integers(1, 16))
+            p = _shuffled_cells(rng, random_partition(rng, n))
+            assert np.array_equal(eq.suitable_indexing_permutation(p),
+                                  suitable_indexing_oracle(p))
+            lab = p.labels()
+            for i, c in enumerate(p.cells):
+                assert np.all(lab[list(c)] == i)
 
 
 class TestAdmissibility:
