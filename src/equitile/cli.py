@@ -93,7 +93,11 @@ def _read_matrix(path) -> np.ndarray:
     return A
 
 
-def _parse_complex_list(data, what: str) -> np.ndarray:
+def _read_vector(path, length: int, what: str) -> np.ndarray:
+    """A JSON array of `length` finite numbers or [re, im] pairs (weights, phases)."""
+    data = _load_json(path)
+    if not isinstance(data, list) or len(data) != length:
+        raise InputError(f"{path}: {what} must be a JSON array of length {length}")
     vals = []
     for item in data:
         if isinstance(item, (int, float)):
@@ -101,27 +105,13 @@ def _parse_complex_list(data, what: str) -> np.ndarray:
         elif isinstance(item, list) and len(item) == 2:
             vals.append(complex(float(item[0]), float(item[1])))
         else:
-            raise InputError(f"{what}: entries must be numbers or [re, im] pairs")
+            raise InputError(f"{path}: entries must be numbers or [re, im] pairs")
     arr = np.array(vals)
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what}: entries must be finite")
+        raise InputError(f"{path}: entries must be finite")
     if np.all(arr.imag == 0):
         return arr.real
     return arr
-
-
-def _read_weights(path, n: int) -> np.ndarray:
-    data = _load_json(path)
-    if not isinstance(data, list) or len(data) != n:
-        raise InputError(f"{path}: weights must be a JSON array of length {n}")
-    return _parse_complex_list(data, str(path))
-
-
-def _read_phases(path, k: int):
-    data = _load_json(path)
-    if not isinstance(data, list) or len(data) != k:
-        raise InputError(f"{path}: phases must be a JSON array of length {k}")
-    return _parse_complex_list(data, str(path))
 
 
 def _cplx(z) -> list[float]:
@@ -164,10 +154,10 @@ def _load_inputs(args):
     A = _read_matrix(args.matrix)
     n = A.shape[0]
     part = _read_partition(args.partition, n)
-    w = _read_weights(args.weights, n) if args.weights else np.ones(n)
+    w = _read_vector(args.weights, n, "weights") if args.weights else np.ones(n)
     phases = getattr(args, "phases", "auto")
     if phases and phases != "auto":
-        phases = _read_phases(phases, part.k)
+        phases = _read_vector(phases, part.k, "phases")
     return A, WeightedIndicator(part, w), phases
 
 
@@ -175,7 +165,7 @@ def cmd_refine(args) -> int:
     A = _read_matrix(args.matrix)
     initial = _read_partition(args.initial, A.shape[0]) if args.initial else None
     if args.weights:
-        w = _read_weights(args.weights, A.shape[0])
+        w = _read_vector(args.weights, A.shape[0], "weights")
         part = weighted_refinement(A, w, initial, color_tol=args.color_tol)
     else:
         part = coarsest_front_equitable_refinement(A, initial, color_tol=args.color_tol)

@@ -7,9 +7,13 @@ spectrum and norm preservation, which any unitary similarity must obey.
 """
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 import equitile as eq
+from equitile.errors import InputError
+from equitile.mmio import MatrixFile
 from equitile.rectangular import assemble_block_diagonal
 
 A0 = np.array(
@@ -352,3 +356,137 @@ def suitable_indexing_oracle(p: eq.Partition) -> np.ndarray:
             perm[v] = s
         off += len(c)
     return perm
+
+
+# The per-entry Matrix Market codec, one Python parse or format per entry:
+# the oracle of the differential tests in test_mmio.py, which the entry-table
+# codec of equitile.mmio must match byte for byte and bit for bit.
+
+_FIELDS = {"real", "complex", "integer"}
+_FORMATS = {"array", "coordinate"}
+_SYMMETRIES = {"general", "symmetric", "hermitian", "skew-symmetric"}
+
+
+def _parse_value(parts: list[str], field: str):
+    if field == "complex":
+        return complex(float(parts[0]), float(parts[1]))
+    if field == "integer":
+        return float(int(parts[0]))
+    return float(parts[0])
+
+
+def reference_load_matrix_market(path) -> MatrixFile:
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise InputError(f"{path}: missing MatrixMarket header")
+    header = lines[0].split()
+    if len(header) != 5 or header[1] != "matrix":
+        raise InputError(f"{path}: malformed header {lines[0]!r}")
+    fmt, field, symmetry = header[2], header[3], header[4]
+    if fmt not in _FORMATS:
+        raise InputError(f"{path}: unsupported format {fmt!r}")
+    if field not in _FIELDS:
+        raise InputError(f"{path}: unsupported field {field!r}")
+    if symmetry not in _SYMMETRIES:
+        raise InputError(f"{path}: unsupported symmetry {symmetry!r}")
+
+    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    if not body:
+        raise InputError(f"{path}: missing size line")
+    sizes = body[0].split()
+    entries = body[1:]
+    dtype = complex if field == "complex" else float
+    per_value = 2 if field == "complex" else 1
+
+    try:
+        if fmt == "array":
+            if len(sizes) != 2:
+                raise InputError(f"{path}: array size line needs 2 integers")
+            m, n = int(sizes[0]), int(sizes[1])
+            if len(entries) != m * n:
+                raise InputError(
+                    f"{path}: expected {m * n} entries, found {len(entries)}"
+                )
+            M = np.zeros((m, n), dtype=dtype)
+            idx = 0
+            for j in range(n):  # array format runs down the columns
+                for i in range(m):
+                    parts = entries[idx].split()
+                    if len(parts) != per_value:
+                        raise InputError(f"{path}: bad entry line {entries[idx]!r}")
+                    M[i, j] = _parse_value(parts, field)
+                    idx += 1
+        else:
+            if len(sizes) != 3:
+                raise InputError(f"{path}: coordinate size line needs 3 integers")
+            m, n, nnz = int(sizes[0]), int(sizes[1]), int(sizes[2])
+            if len(entries) != nnz:
+                raise InputError(f"{path}: expected {nnz} entries, found {len(entries)}")
+            M = np.zeros((m, n), dtype=dtype)
+            for ln in entries:
+                parts = ln.split()
+                if len(parts) != 2 + per_value:
+                    raise InputError(f"{path}: bad entry line {ln!r}")
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                M[i, j] = _parse_value(parts[2:], field)
+    except (ValueError, IndexError) as exc:
+        raise InputError(f"{path}: parse error: {exc}") from exc
+
+    if symmetry in ("symmetric", "hermitian", "skew-symmetric"):
+        if m != n:
+            raise InputError(f"{path}: {symmetry} requires a square matrix")
+        lower = np.tril(M, -1)
+        fill = {
+            "symmetric": lower.T,
+            "hermitian": lower.conj().T,
+            "skew-symmetric": -lower.T,
+        }[symmetry]
+        M = M + fill
+    return MatrixFile(format=fmt, field=field, matrix=M)
+
+
+def _infer_field(M: np.ndarray) -> str:
+    if np.iscomplexobj(M):
+        return "complex"
+    if M.dtype.kind in "iu":
+        return "integer"
+    return "real"
+
+
+def _format_value(v, field: str) -> str:
+    if field == "complex":
+        c = complex(v)
+        return f"{c.real:.16e} {c.imag:.16e}"
+    if field == "integer":
+        return str(int(round(float(np.real(v)))))
+    return f"{float(np.real(v)):.16e}"
+
+
+def reference_save_matrix_market(path, M, fmt: str = "array", field: str | None = None) -> None:
+    M = np.asarray(M)
+    if M.ndim != 2:
+        raise InputError(f"2-d matrix required, got shape {M.shape}")
+    if fmt not in _FORMATS:
+        raise InputError(f"unsupported format {fmt!r}")
+    if field is None:
+        field = _infer_field(M)
+    if field not in _FIELDS:
+        raise InputError(f"unsupported field {field!r}")
+    m, n = M.shape
+    out = [f"%%MatrixMarket matrix {fmt} {field} general"]
+    if fmt == "array":
+        out.append(f"{m} {n}")
+        for j in range(n):
+            for i in range(m):
+                out.append(_format_value(M[i, j], field))
+    else:
+        nz = np.argwhere(M != 0)
+        out.append(f"{m} {n} {len(nz)}")
+        for i, j in nz:
+            out.append(f"{i + 1} {j + 1} {_format_value(M[i, j], field)}")
+    Path(path).write_text("\n".join(out) + "\n")
