@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""How does exact colour refinement scale on paths and grids?
+
+Refines randomly relabelled path graphs and near-square grid graphs of N
+vertices at color_tol 0 and prints, per input, the refinement time (best of
+--repeats), the number of rounds, the cells found, and the indices summed
+into over every round after the first against the N*log2(N) bound of the
+"process the smaller half" rule. The sums are counted by wrapping the
+aggregate kernel during one extra, untimed run.
+
+    PYTHONPATH=src python scripts/refine_scaling.py
+    PYTHONPATH=src python scripts/refine_scaling.py --sizes 1000 --repeats 5
+"""
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+import equitile as eq
+from equitile import partition
+
+
+def path_graph(n: int) -> np.ndarray:
+    A = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n - 1)
+    A[i, i + 1] = A[i + 1, i] = 1
+    return A
+
+
+def grid_graph(n: int) -> tuple[np.ndarray, str]:
+    """r-by-c grid with r * c = n and r the largest divisor up to sqrt(n)."""
+    r = max(d for d in range(1, int(np.sqrt(n)) + 1) if n % d == 0)
+    c = n // r
+    A = np.kron(path_graph(r), np.eye(c, dtype=np.int64)) + \
+        np.kron(np.eye(r, dtype=np.int64), path_graph(c))
+    return A, f"grid {r}x{c}"
+
+
+def summed_per_round(A: np.ndarray) -> list[int]:
+    """Indices each aggregate pass of one refinement summed into, in order."""
+    calls = []
+    kernel = partition._aggregate
+
+    def counted(A, lay, *args, cols=None, **kwargs):
+        calls.append(lay.order.size if cols is None else cols[0].size)
+        return kernel(A, lay, *args, cols=cols, **kwargs)
+
+    partition._aggregate = counted
+    try:
+        eq.coarsest_front_equitable_refinement(A)
+    finally:
+        partition._aggregate = kernel
+    return calls
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'cells':>5} "
+          f"{'summed':>7} {'N*log2N':>8}")
+    for n in args.sizes:
+        for A, name in ((path_graph(n), "path"), grid_graph(n)):
+            p = rng.permutation(n)
+            A = A[np.ix_(p, p)]
+            best = np.inf
+            for _ in range(args.repeats):
+                t = time.perf_counter()
+                out = eq.coarsest_front_equitable_refinement(A)
+                best = min(best, time.perf_counter() - t)
+            calls = summed_per_round(A)
+            print(f"{name:>14} {n:>5} {best:>8.4f} {len(calls):>6} {out.k:>5} "
+                  f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f}")
+
+
+if __name__ == "__main__":
+    main()

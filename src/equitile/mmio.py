@@ -8,6 +8,9 @@ column by column. A body is parsed by one ``np.loadtxt`` and scattered in one
 step, and written with one %-format per ``_BLOCK_ROWS`` table rows. Complex
 values are (re, im) pairs viewed as one number, and 17 significant digits
 make load -> save -> load bit-identical. ``%`` starts a comment anywhere.
+A coordinate file with a symmetry stores the lower triangle only: an entry
+above the diagonal, on the diagonal of a skew-symmetric file, or with a
+nonzero imaginary part on the diagonal of a hermitian file is refused.
 """
 from __future__ import annotations
 
@@ -101,10 +104,17 @@ def _read(fh) -> MatrixFile:
     M = np.zeros((m, n), dtype=complex if field == "complex" else float)
     if fmt == "coordinate":
         i, j = table["i"] - 1, table["j"] - 1
-        bad = (i < 0) | (i >= m) | (j < 0) | (j >= n)
-        if bad.any():
-            k = bad.argmax()
-            raise InputError(f"entry ({i[k] + 1}, {j[k] + 1}) outside 1..{m} x 1..{n}")
+        diag = i == j
+        for bad, what in (
+            ((i < 0) | (i >= m) | (j < 0) | (j >= n), f"outside 1..{m} x 1..{n}"),
+            ((i < j) & (symmetry != "general"), f"above the diagonal of a {symmetry} file"),
+            (diag & skew, "on the diagonal of a skew-symmetric file"),
+            (diag & (symmetry == "hermitian") & (np.imag(table["v"]) != 0),
+             "on the diagonal of a hermitian file has a nonzero imaginary part"),
+        ):
+            if bad.any():
+                k = bad.argmax()
+                raise InputError(f"entry ({i[k] + 1}, {j[k] + 1}) {what}")
         M[i, j] = table["v"]
     elif symmetry == "general":
         M.T[...] = table["v"].reshape(n, m)

@@ -12,12 +12,13 @@ from it is measured blockwise by the normalized residual vectors.
 
 Every cell aggregate (equitability residuals, quotients, deviations,
 epsilon and regular-equivalence tests, refinement signatures) comes from
-one kernel over the block-contiguous layout: rows of A are gathered a
-bounded block at a time, columns in layout order, and np.add.reduceat
-sums each row over every cell. That is O(N^2) time whatever the number
-of cells k, O(N k) extra memory, and no N-by-N temporary. The dense
-N-by-k indicator W is never formed; WeightedIndicator.matrix and
-indicator_matrix remain as oracles.
+one kernel over the block-contiguous layout: contiguous row slices of A
+are gathered a bounded block at a time at the columns of the cells summed
+into, in layout order, and np.add.reduceat sums each row over every such
+cell. That is O(N^2) time whatever the number of cells k (O(N s) when
+refinement sums into cells of s indices), O(N k) extra memory, and no
+N-by-N temporary. The dense N-by-k indicator W is never formed;
+WeightedIndicator.matrix and indicator_matrix remain as oracles.
 """
 from __future__ import annotations
 
@@ -243,31 +244,43 @@ def _abs2(X: np.ndarray) -> np.ndarray:
 
 
 def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
-               side: str = "front") -> np.ndarray:
+               side: str = "front", cols: tuple[np.ndarray, np.ndarray] | None = None,
+               similar: bool = False) -> np.ndarray:
     """R[p, j] = sum over v in cell j of M[order[p], v] * w[v], rows in layout order.
 
     M is A for side "front" and A' (conjugate transpose) for "rear"; w
-    defaults to all ones. A is gathered _BLOCK_ENTRIES entries at a time,
-    row blocks for front and column blocks for rear, each cast, scaled by
-    the layout-ordered weights and summed per cell with np.add.reduceat.
-    Costs O(N^2) whatever k, and the only temporaries beyond the N-by-k
+    defaults to all ones. The cells summed into are those of the layout, or
+    the column set cols = (corder, cstarts): cell j holds corder[cstarts[j]]
+    up to corder[cstarts[j + 1]]. With similar (front, w given) M is
+    diag(w)^-1 A diag(w), each entry formed as (A[u, v] w[v]) / w[u].
+
+    Contiguous slices of _BLOCK_ENTRIES entries' worth of rows of M are
+    gathered at the set's columns in their order, cast, scaled and summed per
+    cell with np.add.reduceat, and the sums are written to the slice's layout
+    rows. Costs O(N s) for the s indices of the column set (O(N^2) for all
+    cells) whatever the number of cells, and the only temporaries beyond the
     result are of the block size.
     """
-    order, starts = lay.order, lay.starts
+    order = lay.order
+    corder, cstarts = (order, lay.starts) if cols is None else cols
     n = order.size
     M = A if side == "front" else A.T
     conj = side == "rear" and np.iscomplexobj(A)
-    wl = None if w is None else w[order]
+    wc = None if w is None else w[corder]
     dtype = np.result_type(A.dtype, np.float64 if w is None else w.dtype)
-    out = np.empty((n, starts.size), dtype=dtype)
-    step = max(1, _BLOCK_ENTRIES // n)
+    out = np.empty((n, cstarts.size), dtype=dtype)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    step = max(1, _BLOCK_ENTRIES // corder.size)
     for a in range(0, n, step):
-        blk = M[order[a:a + step]].take(order, axis=1).astype(dtype, copy=False)
+        blk = M[a:a + step].take(corder, axis=1).astype(dtype, copy=False)
         if conj:
             np.conjugate(blk, out=blk)
-        if wl is not None:
-            blk *= wl
-        np.add.reduceat(blk, starts, axis=1, out=out[a:a + step])
+        if wc is not None:
+            blk *= wc
+            if similar:
+                blk /= w[a:a + step, None]
+        out[pos[a:a + step]] = np.add.reduceat(blk, cstarts, axis=1)
     return out
 
 
@@ -381,21 +394,22 @@ def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
     return not np.any((counts > 0) & (counts < sizes))
 
 
-def _color_groups(A: np.ndarray, lay: _Layout, color_tol: float
+def _color_groups(R: np.ndarray, labels: np.ndarray, color_tol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One refinement round: layout rows in sorted order, and where groups start.
 
-    Signatures are the rows of one aggregate pass. One lexsort orders them by
-    cell, then lexicographically ((real, imag) per complex component); new
-    marks a change of cell, or consecutive rows that differ by more than
-    color_tol in some component, compared in row blocks of _BLOCK_ENTRIES.
+    The signatures are the rows of R, one column per summed cell, and
+    labels[p] is the current cell of layout row p. One lexsort orders the
+    rows by cell, then lexicographically ((real, imag) per complex
+    component); new marks a change of cell, or consecutive rows that differ
+    by more than color_tol in some column, compared in row blocks of
+    _BLOCK_ENTRIES.
     """
-    R = _aggregate(A, lay)
     keys = R.T[::-1]
     if np.iscomplexobj(R):
         keys = [part for col in keys for part in (col.imag, col.real)]
-    srt = np.lexsort((*keys, lay.labels))
-    cells = lay.labels[srt]
+    srt = np.lexsort((*keys, labels))
+    cells = labels[srt]
     new = np.empty(srt.size, dtype=bool)
     new[0] = True
     np.not_equal(cells[1:], cells[:-1], out=new[1:])
@@ -406,36 +420,54 @@ def _color_groups(A: np.ndarray, lay: _Layout, color_tol: float
     return srt, new
 
 
+def _split_off(lay: _Layout, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column set of every cell but the largest of the cells of the same parent.
+
+    parent[i] (nondecreasing) is the previous round's cell that cell i of lay
+    came from; of equal largest pieces the first is left out. A parent that
+    did not split is its own largest piece, so only split-off cells remain.
+    """
+    starts, k = lay.starts, lay.starts.size
+    sizes = np.empty(k, dtype=np.intp)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = lay.order.size - starts[-1]
+    head = np.empty(k, dtype=bool)
+    head[0] = True
+    np.not_equal(parent[1:], parent[:-1], out=head[1:])
+    # distinct scores ordered by size, then by the earlier cell
+    score = sizes * k - np.arange(k)
+    top = np.maximum.reduceat(score, np.flatnonzero(head))
+    keep = score != top[np.cumsum(head) - 1]
+    ends = np.cumsum(sizes[keep])
+    return lay.order[keep[lay.labels]], ends - sizes[keep]
+
+
 def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
                                         color_tol: float = 0.0) -> Partition:
     """Coarsest refinement of `initial` against which A is front equitable.
 
     Color refinement: the signature of index u is its vector of row sums
-    into the current cells. Each round sorts every cell's members
-    lexicographically by signature and splits the cell between consecutive
-    members whose signatures differ by more than color_tol in the modulus
-    of some component (single linkage), until no cell splits. A round is
-    one O(N^2) aggregate pass plus a sort of the N-by-k signatures.
+    into cells. Each round sorts every cell's members lexicographically by
+    signature and splits the cell between consecutive members whose
+    signatures differ by more than color_tol in the modulus of some
+    component (single linkage), until no cell splits.
 
-    At color_tol 0 the result is the unique coarsest refinement. Above 0 it
-    need be neither equitable nor coarsest, but the groups of a cell take
-    its place in the cell order, so it depends on A, on the cells of
-    `initial` in their order and on color_tol, never on how the indices are
-    labelled. Output is in canonical form.
+    At color_tol 0 the first round sums into every cell of `initial` and
+    each later round only into the cells the previous round split off, less
+    the largest piece of each split cell (Hopcroft's "process the smaller
+    half"). Members of a cell already agree on their sums into its parent's
+    cells, so the sums into the skipped pieces follow from the others
+    (exactly for integer, bool and dyadic entries); a round costs O(N s) for the s indices of the cells it sums into, and each
+    index is summed into at most log2(N) times after the first round. The
+    result is the unique coarsest refinement. Above 0 agreement is not
+    transitive, so every round sums into every current cell, O(N^2) plus a
+    sort of the N-by-k signatures. The result need be neither equitable nor
+    coarsest, but the groups of a cell take its place in the cell order, so
+    it depends on A, on the cells of `initial` in their order and on
+    color_tol, never on how the indices are labelled. Output is in
+    canonical form.
     """
-    A = _square(A)
-    if initial is None:
-        initial = Partition.single_cell(A.shape[0])
-    if A.shape[0] != initial.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
-    if not color_tol >= 0:
-        raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
-    lay = _layout(initial)
-    while True:
-        srt, new = _color_groups(A, lay, color_tol)
-        if np.count_nonzero(new) == lay.starts.size:
-            return Partition(tuple(np.split(lay.order, lay.starts[1:]))).canonical()
-        lay = _Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
+    return _refine(_square(A), None, initial, color_tol)
 
 
 def weighted_refinement(A, w, initial: Partition | None = None,
@@ -443,7 +475,8 @@ def weighted_refinement(A, w, initial: Partition | None = None,
     """Color refinement in the weighted sense for an entrywise nonzero w.
 
     Equivalent to refining diag(w)^-1 A diag(w): pairing the result with w
-    gives a front equitable weighted indicator.
+    gives a front equitable weighted indicator. Its entries are formed
+    block by block inside the aggregate kernel, never as an N-by-N array.
     """
     A = _square(A)
     w = np.asarray(w)
@@ -451,5 +484,29 @@ def weighted_refinement(A, w, initial: Partition | None = None,
         raise InputError(f"weight vector of length {A.shape[0]} required, got {w.shape}")
     if np.any(w == 0):
         raise InputError("weighted refinement requires entrywise nonzero weights")
-    M = (A * w[None, :]) / w[:, None]
-    return coarsest_front_equitable_refinement(M, initial, color_tol)
+    # at least float64: the kernel scales and divides its blocks in place
+    return _refine(A, w.astype(np.result_type(w, np.float64), copy=False), initial,
+                   color_tol)
+
+
+def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,
+            color_tol: float) -> Partition:
+    """Color refinement of diag(w)^-1 A diag(w) (of A when w is None)."""
+    if initial is None:
+        initial = Partition.single_cell(A.shape[0])
+    if A.shape[0] != initial.n:
+        raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
+    if not color_tol >= 0:
+        raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
+    lay = _layout(initial)
+    cols = None
+    while True:
+        R = _aggregate(A, lay, w, cols=cols, similar=w is not None)
+        srt, new = _color_groups(R, lay.labels, color_tol)
+        del R  # not held while the next round's signatures are summed
+        if np.count_nonzero(new) == lay.starts.size:
+            return Partition(tuple(np.split(lay.order, lay.starts[1:]))).canonical()
+        parent = lay.labels[srt[new]]
+        lay = _Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
+        if color_tol == 0:
+            cols = _split_off(lay, parent)

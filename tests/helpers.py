@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import equitile as eq
+from equitile import partition
 from equitile.errors import InputError
 from equitile.mmio import MatrixFile
 from equitile.rectangular import assemble_block_diagonal
@@ -272,6 +273,47 @@ def refine_oracle(A, initial: eq.Partition | None = None) -> eq.Partition:
         if finer.k == part.k:
             return finer
         part = finer
+
+
+def full_signature_refinement(A, initial: eq.Partition | None = None,
+                              color_tol: float = 0.0, w=None) -> eq.Partition:
+    """Color refinement that sums every round into every cell: refinement's oracle.
+
+    The full-signature loop the incremental one replaced, kept verbatim: each
+    round is one partition._aggregate pass into all current cells, one
+    lexsort and one blocked comparison. With w it refines diag(w)^-1 A diag(w)
+    formed as one N-by-N array. Its rounds go through partition._aggregate,
+    so a wrapper there counts them.
+    """
+    A = np.asarray(A)
+    if w is not None:
+        w = np.asarray(w)
+        A = (A * w[None, :]) / w[:, None]
+    if initial is None:
+        initial = eq.Partition.single_cell(A.shape[0])
+    lay = partition._layout(initial)
+    while True:
+        srt, new = _full_color_groups(A, lay, color_tol)
+        if np.count_nonzero(new) == lay.starts.size:
+            return eq.Partition(tuple(np.split(lay.order, lay.starts[1:]))).canonical()
+        lay = partition._Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
+
+
+def _full_color_groups(A, lay, color_tol):
+    R = partition._aggregate(A, lay)
+    keys = R.T[::-1]
+    if np.iscomplexobj(R):
+        keys = [part for col in keys for part in (col.imag, col.real)]
+    srt = np.lexsort((*keys, lay.labels))
+    cells = lay.labels[srt]
+    new = np.empty(srt.size, dtype=bool)
+    new[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    step = max(1, partition._BLOCK_ENTRIES // R.shape[1])
+    for a in range(0, srt.size - 1, step):
+        rows = R[srt[a:a + step + 1]]
+        new[a + 1:a + step + 1] |= ~(np.abs(rows[1:] - rows[:-1]) <= color_tol).all(axis=1)
+    return srt, new
 
 
 def gram_column_basis(blocks) -> np.ndarray:

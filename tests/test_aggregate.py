@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import equitile as eq
+from equitile import partition
 
 from helpers import dense_aggregates, random_partition, random_weights
 
@@ -72,6 +73,31 @@ def test_kernel_paths_match_dense_oracle(rng, dtype, partition, weights):
             pytest.approx(ref["theta_front"], abs=atol)
         assert eq.theta_residual(A, wi, Theta, "rear") == \
             pytest.approx(ref["theta_rear"], abs=atol)
+
+
+@pytest.mark.parametrize("block_entries", [None, 5])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_column_sets_sum_bit_for_bit(rng, monkeypatch, dtype, block_entries):
+    # a column set sums exactly what the all-cells pass sums into the same
+    # cells, and similar forms (A_uv w_v) / w_u entrywise as a scaled copy would
+    if block_entries:
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block_entries)
+    for _ in range(10):
+        A, wi = _case(rng, dtype, "random", "complex")
+        w = wi.weights
+        lay = partition._layout(wi.partition)
+        pick = rng.permutation(wi.partition.k)[:int(rng.integers(1, wi.partition.k + 1))]
+        cells = [wi.partition.cells[i] for i in pick]
+        sizes = np.array([len(c) for c in cells])
+        cols = np.concatenate(cells), np.cumsum(sizes) - sizes
+        got = partition._aggregate(A, lay, cols=cols)
+        assert _same_bits(got, partition._aggregate(A, lay)[:, pick])
+        similar = partition._aggregate(A, lay, w, cols=cols, similar=True)
+        assert _same_bits(similar, partition._aggregate((A * w) / w[:, None], lay, cols=cols))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_check_equitable_makes_no_dense_copy(rng):

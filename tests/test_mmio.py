@@ -224,25 +224,77 @@ def test_codec_matches_reference_bit_for_bit(M, block_rows):
     st.data(),
 )
 def test_hand_written_coordinate_files_match_reference(symmetry, field, n, data):
-    # symmetric coordinate bodies go through the same mirror step as before,
-    # including entries a writer put in the upper triangle
+    # symmetric bodies hold stored-triangle entries only (i >= j, i > j for
+    # skew, a zero imaginary part on a hermitian diagonal): the others are
+    # refused, see test_symmetric_coordinate_outside_stored_triangle_refused
     if field != "complex" and symmetry == "hermitian":
         field = "complex"
-    count = data.draw(st.integers(0, 8)) if n else 0
-    number = st.one_of(st.sampled_from(["-0", "+2.", "1e-320", "nan", "-inf", ".5"]),
-                       st.floats(width=64).map(repr))
-    if field == "integer":
-        number = st.integers(-(10**30), 10**30).map(str)
+    skew = symmetry == "skew-symmetric"
+    count = data.draw(st.integers(0, 8)) if n > skew else 0
     lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% comment", f"{n} {n} {count}"]
     for _ in range(count):
-        i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-        vals = [data.draw(number) for _ in range(2 if field == "complex" else 1)]
-        lines.append(" ".join([str(i), str(j), *vals]))
+        lines.append(" ".join(map(str, _stored_entry(data, symmetry, field, n))))
     with TemporaryDirectory() as d:
         path = Path(d) / "m.mtx"
         path.write_text("\n".join(lines) + "\n")
         got, want = load_matrix_market(path).matrix, reference_load_matrix_market(path).matrix
         assert _same_bits(got, want) and got.flags.c_contiguous
+
+
+def _number(field):
+    if field == "integer":
+        return st.integers(-(10**30), 10**30).map(str)
+    return st.one_of(st.sampled_from(["-0", "+2.", "1e-320", "nan", "-inf", ".5"]),
+                     st.floats(width=64).map(repr))
+
+
+def _stored_entry(data, symmetry, field, n):
+    """Tokens (i, j, value...) of an entry in the triangle the symmetry stores."""
+    if symmetry == "general":
+        i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    else:
+        skew = symmetry == "skew-symmetric"
+        i = data.draw(st.integers(1 + skew, n))
+        j = data.draw(st.integers(1, i - skew))
+    vals = [data.draw(_number(field)) for _ in range(2 if field == "complex" else 1)]
+    if symmetry == "hermitian" and i == j:
+        vals[1] = data.draw(st.sampled_from(["0", "-0", "0.0", "-0e5"]))
+    return [i, j, *vals]
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(["symmetric upper", "hermitian upper", "skew upper", "skew diagonal",
+                     "hermitian diagonal"]),
+    st.sampled_from(["real", "complex", "integer"]),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_symmetric_coordinate_outside_stored_triangle_refused(pattern, field, n, data):
+    symmetry = {"symmetric": "symmetric", "hermitian": "hermitian",
+                "skew": "skew-symmetric"}[pattern.split()[0]]
+    if symmetry == "hermitian":
+        field = "complex"
+    if pattern.endswith("upper"):
+        n = max(n, 2)
+        i = data.draw(st.integers(1, n - 1))
+        j = data.draw(st.integers(i + 1, n))
+    else:
+        i = j = data.draw(st.integers(1, n))
+    vals = [data.draw(_number(field)) for _ in range(2 if field == "complex" else 1)]
+    if pattern == "hermitian diagonal":
+        vals[1] = data.draw(st.sampled_from(["1", "-2.5", "1e-320", "nan", "inf"]))
+    skew = symmetry == "skew-symmetric"
+    entries = [_stored_entry(data, symmetry, field, n)
+               for _ in range(data.draw(st.integers(0, 4)) if n > skew else 0)]
+    entries.insert(data.draw(st.integers(0, len(entries))), [i, j, *vals])
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", f"{n} {n} {len(entries)}"]
+    lines += [" ".join(map(str, e)) for e in entries]
+    with TemporaryDirectory() as d:
+        path = Path(d) / "m.mtx"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"entry \(\d+, \d+\) (above|on) the diagonal"):
+            load_matrix_market(path)
 
 
 _A = "%%MatrixMarket matrix array real general\n"
@@ -301,7 +353,6 @@ _CORPUS = {
     "array complex": "%%MatrixMarket matrix array complex general\n1 2\n1 2\n3 -inf\n",
     "array complex 3 tokens": "%%MatrixMarket matrix array complex general\n1 1\n1 2 3\n",
     "symmetric coordinate": "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n2 1 3\n",
-    "symmetric upper entry": "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3\n",
     "symmetric not square": "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",
     "hermitian coordinate":
         "%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n1 1 1 0\n2 1 2 -0.0\n",
@@ -325,6 +376,8 @@ _CHANGED = {
     "trailing comment": (_A + "1 1\n1.0 % note\n", [[1.0]]),
     "underscore digits": (_A + "1 1\n1_0\n", None),
     "integer too large for a float": (_CI + "1 1 1\n1 1 1" + "0" * 400 + "\n", None),
+    "symmetric upper entry": (
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3\n", None),
 }
 
 
@@ -373,6 +426,17 @@ def test_cli_refuses_out_of_range_index(tmp_path, capsys):
     part.write_text('{"n": 2, "cells": [[1, 2]]}')
     assert main(["check", str(path), str(part)]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symmetry, entry", [
+    ("real symmetric", "1 2 3"), ("complex hermitian", "1 1 1 5"),
+    ("real skew-symmetric", "2 2 1")])
+def test_cli_refuses_entry_outside_stored_triangle(tmp_path, capsys, symmetry, entry):
+    path, part = tmp_path / "m.mtx", tmp_path / "p.json"
+    path.write_text(f"%%MatrixMarket matrix coordinate {symmetry}\n2 2 1\n{entry}\n")
+    part.write_text('{"n": 2, "cells": [[1, 2]]}')
+    assert main(["check", str(path), str(part)]) == 2
+    assert f"entry ({entry[0]}, {entry[2]})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes", ["-2 2", "2 2.5", "two 2", "2 -0.0"])

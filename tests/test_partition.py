@@ -15,6 +15,7 @@ from helpers import (
     PI0_CELLS,
     EMINUS,
     all_partitions,
+    full_signature_refinement,
     random_partition,
     random_weights,
     refine_oracle,
@@ -418,6 +419,142 @@ class TestWeightedRefinement:
     def test_zero_weight_rejected(self):
         with pytest.raises(InputError):
             eq.weighted_refinement(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+    def test_weighted_path_peak_memory_below_dense_copy(self, rng):
+        # diag(w)^-1 A diag(w) is formed block by block, never as an N-by-N array
+        n = 600
+        A = _relabelled(rng, _path(n))
+        w = np.exp2(rng.integers(-1, 2, n)).astype(float)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = eq.weighted_refinement(A, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out == full_signature_refinement(A, w=w)
+        assert peak < n * n * 8
+
+
+class TestIncrementalRefinement:
+    """Refinement at color_tol 0 sums only into split-off cells; the
+    full-signature loop of tests/helpers.py is its oracle, and both count
+    their rounds through the wrapped aggregate kernel."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Number of indices summed into by each aggregate pass, in call order."""
+        calls = []
+        kernel = partition._aggregate
+
+        def counted(A, lay, *args, cols=None, **kwargs):
+            calls.append(lay.order.size if cols is None else cols[0].size)
+            return kernel(A, lay, *args, cols=cols, **kwargs)
+
+        monkeypatch.setattr(partition, "_aggregate", counted)
+        return calls
+
+    @staticmethod
+    def _both(calls, A, initial=None, color_tol=0.0, w=None):
+        """(result, rounds) of the library and of the oracle."""
+        calls.clear()
+        if w is None:
+            out = eq.coarsest_front_equitable_refinement(A, initial, color_tol)
+        else:
+            out = eq.weighted_refinement(A, w, initial, color_tol)
+        rounds = len(calls)
+        calls.clear()
+        want = full_signature_refinement(A, initial, color_tol, w)
+        return (out, rounds), (want, len(calls))
+
+    @pytest.mark.parametrize("block_entries", [None, 5])
+    @pytest.mark.parametrize("kind", ["integer", "complex", "bool", "dyadic-weighted"])
+    def test_matches_full_signature(self, rng, monkeypatch, kernel_calls, kind,
+                                    block_entries):
+        if block_entries:
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block_entries)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            # sparse draws give long chains of rounds, dense ones wide rounds
+            mask = rng.random((n, n)) < rng.uniform(0.1, 1.0)
+            A = rng.integers(-2, 3, size=(n, n)) * mask
+            w = None
+            if kind == "complex":
+                A = A + 1j * rng.integers(-2, 3, size=(n, n)) * mask
+            elif kind == "bool":
+                A = A != 0
+            elif kind == "dyadic-weighted":
+                w = np.exp2(rng.integers(-2, 3, n)) * rng.choice([-1.0, 1.0], n)
+            initial = _shuffled_cells(rng, random_partition(rng, n))
+            got, want = self._both(kernel_calls, A, initial, w=w)
+            assert got == want
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "weighted"])
+    def test_positive_tolerance_unchanged(self, rng, kernel_calls, kind):
+        # entries 0 or 1/4 chain many signatures within 0.3; above 0 every
+        # round sums into every cell, so even float weights give the oracle's
+        # signatures bit for bit
+        for _ in range(40):
+            n = int(rng.integers(2, 14))
+            A = rng.integers(0, 2, size=(n, n)) / 4
+            w = None
+            if kind == "complex":
+                A = A + 1j * rng.integers(0, 2, size=(n, n)) / 4
+            elif kind == "weighted":
+                w = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            initial = _shuffled_cells(rng, random_partition(rng, n, min(n, 3)))
+            got, want = self._both(kernel_calls, A, initial, 0.3, w)
+            assert got == want
+            assert kernel_calls == [n] * len(kernel_calls)
+
+    def test_graph_families_match_full_signature(self, rng, kernel_calls):
+        grid = np.kron(_path(9), np.eye(13, dtype=np.int64)) + \
+            np.kron(np.eye(9, dtype=np.int64), _path(13))
+        regular = np.zeros((200, 200), dtype=np.int64)
+        for _ in range(6):  # union of perfect matchings: 6-regular, one cell
+            p = rng.permutation(200).reshape(-1, 2)
+            np.add.at(regular, (p[:, 0], p[:, 1]), 1)
+            np.add.at(regular, (p[:, 1], p[:, 0]), 1)
+        for A, w in ((_path(150), None), (grid, None), (regular, None),
+                     (_path(120), np.exp2(rng.integers(-1, 2, 120)).astype(float))):
+            A = _relabelled(rng, A)
+            if w is not None:
+                w = w[rng.permutation(w.size)]
+            got, want = self._both(kernel_calls, A, w=w)
+            assert got == want
+
+    @pytest.mark.parametrize("shape", [(1000,), (30, 40)])
+    def test_summed_indices_within_n_log_n(self, rng, kernel_calls, shape):
+        # each index is summed into only while its cell is at most half of
+        # its parent, so after the first round at most log2(N) times
+        A = _path(shape[0])
+        if len(shape) == 2:
+            A = np.kron(A, np.eye(shape[1], dtype=np.int64)) + \
+                np.kron(np.eye(shape[0], dtype=np.int64), _path(shape[1]))
+        n = A.shape[0]
+        out = eq.coarsest_front_equitable_refinement(_relabelled(rng, A))
+        assert out.k == np.prod([-(-m // 2) for m in shape])
+        assert kernel_calls[0] == n
+        assert sum(kernel_calls[1:]) <= n * np.log2(n)
+
+    def test_split_off_leaves_out_first_largest_piece(self):
+        # cells 0-2 come from parent 0 (sizes 2, 3, 3), cell 3 from parent 1
+        lay = partition._layout(eq.Partition.from_cells([[4, 0], [1, 2, 3], [5, 6, 7], [8]]))
+        corder, cstarts = partition._split_off(lay, np.array([0, 0, 0, 1]))
+        assert corder.tolist() == [0, 4, 5, 6, 7]
+        assert cstarts.tolist() == [0, 2]
+
+
+def _path(n):
+    A = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n - 1)
+    A[i, i + 1] = A[i + 1, i] = 1
+    return A
+
+
+def _relabelled(rng, A):
+    p = rng.permutation(A.shape[0])
+    return A[np.ix_(p, p)]
 
 
 def _random_front_equitable(rng, n, k):
