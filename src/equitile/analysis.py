@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .partition import (
     WeightedIndicator,
     _abs2,
@@ -24,11 +24,16 @@ from .partition import (
     _square,
     require_admissible,
 )
-from .triangularize import DeviationMatrix, TriangularizationResult
+from .triangularize import (DeviationMatrix, TriangularizationResult, _is_hermitian,
+                            _singular_values)
 
 #: a column counts as nonzero when its norm exceeds this times the
 #: Frobenius norm of the whole matrix
 NONZERO_COLUMN_RTOL = 1e-13
+
+#: weyl_check (and `equitile split`) takes A as Hermitian when
+#: max|A - A'| <= WEYL_HERMITIAN_RTOL * max(1, max|A|)
+WEYL_HERMITIAN_RTOL = 1e-10
 
 _NORM_ALIASES = {
     "fro": "frobenius",
@@ -40,24 +45,11 @@ _NORM_ALIASES = {
 }
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    if M.size == 0:
-        return np.zeros(0)
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-
-
-def _schatten(M: np.ndarray, kind: str) -> float:
-    s = _singular_values(np.asarray(M))
-    if kind == "frobenius":
-        return float(np.sqrt((s**2).sum()))
-    if kind == "spectral":
-        return float(s[0]) if s.size else 0.0
-    if kind == "nuclear":
-        return float(s.sum())
-    raise InputError(f"unknown norm kind {kind!r}")
+def _schatten(M: np.ndarray) -> dict:
+    """Frobenius, spectral and nuclear norm of M from one SVD."""
+    s = _singular_values(M)
+    return {"frobenius": float(np.sqrt((s**2).sum())),
+            "spectral": float(s.max(initial=0.0)), "nuclear": float(s.sum())}
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +80,15 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
     norms are cell sums of |T|^2 over the layout rows, O(N k).
     """
     M = np.asarray(T.assembled)
-    s = _singular_values(M)
-    fro = float(np.sqrt((s**2).sum()))
-    spec = float(s[0]) if s.size else 0.0
-    nuc = float(s.sum())
+    norms = _schatten(M)
     col_norms = np.linalg.norm(M, axis=0) if M.size else np.zeros(M.shape[1])
-    nonzero = int((col_norms > NONZERO_COLUMN_RTOL * fro).sum())
+    nonzero = int((col_norms > NONZERO_COLUMN_RTOL * norms["frobenius"]).sum())
     lay = _layout(T.partition)
     per_block = np.sqrt(_cell_sums(_abs2(M[lay.order]), lay))
     if T.side == "rear":
         per_block = per_block.T
     per_block.setflags(write=False)
-    return DeviationReport(fro, spec, nuc, nonzero, per_block)
+    return DeviationReport(**norms, nonzero_columns=nonzero, per_block_norms=per_block)
 
 
 def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
@@ -128,7 +117,7 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
     if side == "rear":
         Theta = Theta.conj().T
     D = _deviation(R, lay, wi.weights[lay.order], Theta)
-    return _schatten(D / wi.cell_norms()[None, :], kind)
+    return _schatten(D / wi.cell_norms()[None, :])[kind]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,30 +135,20 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
                ) -> PerturbationCheck:
     """Verify |mu_i - lambda_i| <= tau for Hermitian A.
 
-    mu is the sorted joint spectrum of E and F, lambda the sorted spectrum
-    of A, and tau the largest singular value of the off-diagonal block.
-    Pairing is strictly by sorted order. Non-Hermitian input is refused
-    since the bound requires Hermiticity.
+    mu is the sorted real part of the joint spectrum of E and F (r.spectra),
+    lambda the sorted spectrum of A, and tau = r.tau_spec the largest
+    singular value over both off-diagonal blocks. Pairing is strictly by
+    sorted order. Input that is not Hermitian within WEYL_HERMITIAN_RTOL is
+    refused since the bound requires Hermiticity.
     """
     A = _square(A, r.n)
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.conj().T).max() > 1e-10 * scale:
+    if not _is_hermitian(A, WEYL_HERMITIAN_RTOL):
         raise InputError("Weyl bound requires a Hermitian matrix")
     lam = np.sort(np.linalg.eigvalsh((A + A.conj().T) / 2.0))
-    mus = []
-    for M in (r.E, r.F):
-        if M.size:
-            mus.append(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
-    mu = np.sort(np.concatenate(mus)) if mus else np.zeros(0)
-    tau = float(_singular_values(np.asarray(r.D_minus)).max()) if r.D_minus.size else 0.0
+    mu = np.sort(np.concatenate(r.spectra).real)
     gap = float(np.abs(mu - lam).max()) if lam.size else 0.0
     slack = slack_rtol * np.linalg.norm(A)
     mu.setflags(write=False)
     lam.setflags(write=False)
-    return PerturbationCheck(
-        joint_spectrum=mu,
-        reference=lam,
-        tau_spec=tau,
-        max_gap=gap,
-        holds=bool(gap <= tau + slack),
-    )
+    return PerturbationCheck(joint_spectrum=mu, reference=lam, tau_spec=r.tau_spec,
+                             max_gap=gap, holds=bool(gap <= r.tau_spec + slack))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import deviation_report, weyl_check
+from .analysis import WEYL_HERMITIAN_RTOL, deviation_report, weyl_check
 from .errors import (
     AdmissibilityError,
     EquitileError,
@@ -37,6 +37,8 @@ from .partition import (
 )
 from .rectangular import block_svd, deviation_rect, rect_transform, split_block_diagonal
 from .triangularize import (
+    _is_hermitian,
+    _singular_values,
     block_triangularize,
     deviation_matrices,
     generalized_quotient,
@@ -250,19 +252,12 @@ def cmd_split(args) -> int:
     A, wi, _ = _load_inputs(args)
     result = block_triangularize(A, wi)
     split = spectrum_split(result, tol=args.tol)
-
-    def _smax(M):
-        M = np.asarray(M)
-        return float(np.linalg.svd(M, compute_uv=False).max()) if M.size else 0.0
-
-    tau = max(_smax(result.D_minus), _smax(result.D_plus_conj))
-    scale = max(1.0, float(np.abs(A).max()))
-    hermitian = np.abs(A - A.conj().T).max() <= 1e-10 * scale
+    hermitian = _is_hermitian(A, WEYL_HERMITIAN_RTOL)
     weyl_holds = weyl_check(A, result).holds if hermitian else None
     report = {
         "eigs_E": _cplx_vector(split.eigs_E),
         "eigs_F": _cplx_vector(split.eigs_F),
-        "tau_spec": tau,
+        "tau_spec": result.tau_spec,
         "weyl_holds": weyl_holds,
         "exact": split.exact,
     }
@@ -303,30 +298,20 @@ def cmd_rect(args) -> int:
         "F": _emit(args.out_dir, "F", result.F),
     }
 
-    def _svals(M):
-        M = np.asarray(M)
-        return list(np.linalg.svd(M, compute_uv=False)) if M.size else []
-
-    sv_A = _svals(A)
-    sv_Ah = _svals(result.assembled())
+    sv_A = _singular_values(A)
+    sv_Ah = _singular_values(result.assembled())
     report = {
         "command": "rect",
         "argv": _echo_args(args),
         "inputs": _input_digests(args),
         "singular_values": {
-            "A": sv_A,
-            "A_hat": sv_Ah,
-            "max_gap": float(np.abs(np.array(sv_A) - np.array(sv_Ah)).max())
-            if sv_A
-            else 0.0,
-            "D_minus": _svals(result.D_minus),
-            "T_minus": _svals(T_minus)[: min(result.D_minus.shape)]
-            if result.D_minus.size
-            else [],
-            "D_plus": _svals(result.D_plus_conj),
-            "T_plus": _svals(T_plus)[: min(result.D_plus_conj.shape)]
-            if result.D_plus_conj.size
-            else [],
+            "A": sv_A.tolist(),
+            "A_hat": sv_Ah.tolist(),
+            "max_gap": float(np.abs(sv_A - sv_Ah).max(initial=0.0)),
+            "D_minus": _singular_values(result.D_minus).tolist(),
+            "T_minus": _singular_values(T_minus)[: min(result.D_minus.shape)].tolist(),
+            "D_plus": _singular_values(result.D_plus_conj).tolist(),
+            "T_plus": _singular_values(T_plus)[: min(result.D_plus_conj.shape)].tolist(),
         },
         "files": files,
         "timing_s": time.perf_counter() - t0,

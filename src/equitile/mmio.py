@@ -8,9 +8,10 @@ column by column. A body is parsed by one ``np.loadtxt`` and scattered in one
 step, and written with one %-format per ``_BLOCK_ROWS`` table rows. Complex
 values are (re, im) pairs viewed as one number, and 17 significant digits
 make load -> save -> load bit-identical. ``%`` starts a comment anywhere.
-A coordinate file with a symmetry stores the lower triangle only: an entry
-above the diagonal, on the diagonal of a skew-symmetric file, or with a
-nonzero imaginary part on the diagonal of a hermitian file is refused.
+A file with a symmetry stores the lower triangle only: a coordinate entry
+above the diagonal or on the diagonal of a skew-symmetric file is refused,
+and so is, in either format, a nonzero imaginary part on the diagonal of a
+hermitian file.
 """
 from __future__ import annotations
 
@@ -102,8 +103,13 @@ def _read(fh) -> MatrixFile:
         table = table.view(index + [("v", "c16")])
 
     M = np.zeros((m, n), dtype=complex if field == "complex" else float)
-    if fmt == "coordinate":
-        i, j = table["i"] - 1, table["j"] - 1
+    if fmt == "array" and symmetry == "general":
+        M.T[...] = table["v"].reshape(n, m)
+    else:
+        if fmt == "coordinate":
+            i, j = table["i"] - 1, table["j"] - 1
+        else:  # the packed lower triangle, column by column
+            j, i = np.triu_indices(n, int(skew))
         diag = i == j
         for bad, what in (
             ((i < 0) | (i >= m) | (j < 0) | (j >= n), f"outside 1..{m} x 1..{n}"),
@@ -116,10 +122,6 @@ def _read(fh) -> MatrixFile:
                 k = bad.argmax()
                 raise InputError(f"entry ({i[k] + 1}, {j[k] + 1}) {what}")
         M[i, j] = table["v"]
-    elif symmetry == "general":
-        M.T[...] = table["v"].reshape(n, m)
-    else:
-        M.T[np.triu_indices(n, int(skew))] = table["v"]
 
     if symmetry != "general":
         lower = np.tril(M, -1)

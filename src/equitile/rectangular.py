@@ -138,7 +138,6 @@ class BlockSVD:
     sigma_blocks: tuple[np.ndarray, ...]
     v_blocks: tuple[np.ndarray, ...]
     omega: np.ndarray
-    source_blocks: tuple[np.ndarray, ...]
 
     @property
     def m_sizes(self) -> tuple[int, ...]:
@@ -172,7 +171,7 @@ class BlockSVD:
 
 def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> BlockSVD:
     """Full SVD of every block; rejects blocks without full column rank."""
-    us, sigmas, vs, srcs = [], [], [], []
+    us, sigmas, vs = [], [], []
     for idx, W in enumerate(blocks):
         W = _coerce_block(W)
         try:
@@ -184,14 +183,12 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
                 f"block {idx} with shape {W.shape} is rank deficient "
                 f"(singular values {s})"
             )
-        src = W.copy()
         v = vh.conj().T
-        for arr in (u, s, v, src):
+        for arr in (u, s, v):
             arr.setflags(write=False)
         us.append(u)
         sigmas.append(s)
         vs.append(v)
-        srcs.append(src)
     q_sizes = [v.shape[0] for v in vs]
     m_sizes = [u.shape[0] for u in us]
     return BlockSVD(
@@ -199,7 +196,6 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
         sigma_blocks=tuple(sigmas),
         v_blocks=tuple(vs),
         omega=omega_nr_permutation(q_sizes, m_sizes),
-        source_blocks=tuple(srcs),
     )
 
 

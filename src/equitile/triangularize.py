@@ -37,6 +37,10 @@ from .partition import (
 from .rectangular import _BlockForm, _gather_blocks, omega_nr_permutation
 from .reflector import ElementaryUnitary, beta0, build_reflector, _check_phase
 
+#: E or F counts as Hermitian, and is solved by eigvalsh, when
+#: max|M - M'| <= EIG_HERMITIAN_RTOL * max(1, max|M|)
+EIG_HERMITIAN_RTOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class QuotientMatrix:
@@ -267,6 +271,21 @@ class TriangularizationResult(_BlockForm):
     def k(self) -> int:
         return self.E.shape[0]
 
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted eigenvalues of E and of F, read-only, solved on first use."""
+        out = tuple(np.sort_complex(_eigvals(M)) for M in (self.E, self.F))
+        for s in out:
+            s.setflags(write=False)
+        return out
+
+    @cached_property
+    def tau_spec(self) -> float:
+        """||A_hat - blkdiag(E, F)||_2: the largest singular value over D_minus
+        and D_plus_conj, taken on first use."""
+        blocks = (self.D_minus, self.D_plus_conj)
+        return max(float(_singular_values(D).max(initial=0.0)) for D in blocks)
+
 
 def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> TriangularizationResult:
     """Run the full pipeline: relabel, conjugate by H, gather with Omega.
@@ -309,12 +328,24 @@ def recover_eigenvector(r: TriangularizationResult, z_hat) -> np.ndarray:
     return r.reflector.matvec(z[r.omega])[r.pre_permutation]
 
 
+def _is_hermitian(M: np.ndarray, rtol: float) -> bool:
+    """max|M - M'| <= rtol * max(1, max|M|); a NaN entry makes it False."""
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
+    return bool(np.abs(M - M.conj().T).max(initial=0.0) <= rtol * scale)
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+
+
 def _eigvals(M: np.ndarray) -> np.ndarray:
     if M.size == 0:
         return np.zeros(0, dtype=complex)
-    herm = np.abs(M - M.conj().T).max() <= 1e-12 * max(1.0, np.abs(M).max())
     try:
-        if herm:
+        if _is_hermitian(M, EIG_HERMITIAN_RTOL):
             return np.linalg.eigvalsh((M + M.conj().T) / 2.0).astype(complex)
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -333,11 +364,9 @@ def spectrum_split(r: TriangularizationResult, tol: float = 1e-10) -> SpectrumSp
 
     When exact, the multiset union of the two spectra is the spectrum of A.
     """
-    eigs_E = np.sort_complex(_eigvals(np.asarray(r.E)))
-    eigs_F = np.sort_complex(_eigvals(np.asarray(r.F)))
-    dm = np.linalg.norm(r.D_minus) if r.D_minus.size else 0.0
-    dp = np.linalg.norm(r.D_plus_conj) if r.D_plus_conj.size else 0.0
-    return SpectrumSplit(eigs_E=eigs_E, eigs_F=eigs_F, exact=bool(max(dm, dp) <= tol))
+    eigs_E, eigs_F = r.spectra
+    off = max(np.linalg.norm(r.D_minus), np.linalg.norm(r.D_plus_conj))
+    return SpectrumSplit(eigs_E=eigs_E, eigs_F=eigs_F, exact=bool(off <= tol))
 
 
 def spectrum_gap(a, b) -> float:
@@ -348,13 +377,14 @@ def spectrum_gap(a, b) -> float:
     tolerance.
     """
     a = np.sort_complex(np.asarray(a, dtype=complex).ravel())
-    b = list(np.asarray(b, dtype=complex).ravel())
+    b = np.asarray(b, dtype=complex).ravel()
     if len(a) != len(b):
         raise InputError(f"multisets differ in size: {len(a)} vs {len(b)}")
-    worst = 0.0
+    worst, taken = 0.0, np.zeros(len(b), dtype=bool)
     for z in a:
-        diffs = np.abs(np.array(b) - z)
+        diffs = np.abs(b - z)
+        diffs[taken] = np.inf  # the first nearest entry of b not yet matched
         i = int(np.argmin(diffs))
         worst = max(worst, float(diffs[i]))
-        b.pop(i)
+        taken[i] = True
     return worst

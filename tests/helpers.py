@@ -189,7 +189,6 @@ def twist_block_svd(rng, bs: eq.BlockSVD) -> eq.BlockSVD:
         sigma_blocks=bs.sigma_blocks,
         v_blocks=tuple(vs),
         omega=bs.omega,
-        source_blocks=bs.source_blocks,
     )
 
 
@@ -213,6 +212,48 @@ def charpoly_eigenvalues(A) -> np.ndarray:
 
 def sorted_complex(values) -> np.ndarray:
     return np.sort_complex(np.asarray(values, dtype=complex).ravel())
+
+
+def reference_spectrum_gap(a, b) -> float:
+    """spectrum_gap as a Python list matched by list.pop: the bit-level oracle."""
+    a = np.sort_complex(np.asarray(a, dtype=complex).ravel())
+    b = list(np.asarray(b, dtype=complex).ravel())
+    if len(a) != len(b):
+        raise InputError(f"multisets differ in size: {len(a)} vs {len(b)}")
+    worst = 0.0
+    for z in a:
+        diffs = np.abs(np.array(b) - z)
+        i = int(np.argmin(diffs))
+        worst = max(worst, float(diffs[i]))
+        b.pop(i)
+    return worst
+
+
+def reference_weyl_check(A, r: eq.TriangularizationResult, slack_rtol: float = 1e-10
+                         ) -> eq.PerturbationCheck:
+    """weyl_check with its own solves: E and F symmetrized and solved by
+    eigvalsh, tau the largest singular value of D_minus alone."""
+    A = partition._square(A, r.n)
+    scale = max(1.0, float(np.abs(A).max()))
+    if np.abs(A - A.conj().T).max() > 1e-10 * scale:
+        raise InputError("Weyl bound requires a Hermitian matrix")
+    lam = np.sort(np.linalg.eigvalsh((A + A.conj().T) / 2.0))
+    mus = []
+    for M in (r.E, r.F):
+        if M.size:
+            mus.append(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
+    mu = np.sort(np.concatenate(mus)) if mus else np.zeros(0)
+    D = np.asarray(r.D_minus)
+    tau = float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
+    gap = float(np.abs(mu - lam).max()) if lam.size else 0.0
+    slack = slack_rtol * np.linalg.norm(A)
+    return eq.PerturbationCheck(
+        joint_spectrum=mu,
+        reference=lam,
+        tau_spec=tau,
+        max_gap=gap,
+        holds=bool(gap <= tau + slack),
+    )
 
 
 def dense_aggregates(A, wi: eq.WeightedIndicator, Theta) -> dict:

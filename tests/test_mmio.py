@@ -378,6 +378,8 @@ _CHANGED = {
     "integer too large for a float": (_CI + "1 1 1\n1 1 1" + "0" * 400 + "\n", None),
     "symmetric upper entry": (
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3\n", None),
+    "hermitian array diagonal with an imaginary part": (
+        "%%MatrixMarket matrix array complex hermitian\n2 2\n1 5\n2 -1\n5 0\n", None),
 }
 
 
@@ -437,6 +439,15 @@ def test_cli_refuses_entry_outside_stored_triangle(tmp_path, capsys, symmetry, e
     part.write_text('{"n": 2, "cells": [[1, 2]]}')
     assert main(["check", str(path), str(part)]) == 2
     assert f"entry ({entry[0]}, {entry[2]})" in capsys.readouterr().err
+
+
+def test_cli_refuses_hermitian_array_diagonal(tmp_path, capsys):
+    path, part = tmp_path / "m.mtx", tmp_path / "p.json"
+    path.write_text("%%MatrixMarket matrix array complex hermitian\n2 2\n1 5\n2 -1\n5 0\n")
+    part.write_text('{"n": 2, "cells": [[1, 2]]}')
+    assert main(["split", str(path), str(part)]) == 2
+    assert ("entry (1, 1) on the diagonal of a hermitian file has a nonzero imaginary part"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("sizes", ["-2 2", "2 2.5", "two 2", "2 -0.0"])
