@@ -15,14 +15,13 @@ import numpy as np
 from .errors import InputError
 from .partition import (
     WeightedIndicator,
+    _Sums,
     _abs2,
-    _aggregate,
     _cell_sums,
     _check_side,
     _deviation,
     _layout,
     _square,
-    require_admissible,
 )
 from .triangularize import (DeviationMatrix, TriangularizationResult, _is_hermitian,
                             _singular_values)
@@ -106,18 +105,15 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
     kind = _NORM_ALIASES.get(norm_kind)
     if kind is None:
         raise InputError(f"unknown norm kind {norm_kind!r}")
-    p = wi.partition
-    A = _square(A, p.n)
+    k = wi.partition.k
     Theta = np.asarray(Theta)
-    if Theta.shape != (p.k, p.k):
-        raise InputError(f"Theta must be {p.k}x{p.k}, got {Theta.shape}")
-    require_admissible(wi)
-    lay = _layout(p)
-    R = _aggregate(A, lay, wi.weights, side)
+    if Theta.shape != (k, k):
+        raise InputError(f"Theta must be {k}x{k}, got {Theta.shape}")
+    s = _Sums(A, wi)
     if side == "rear":
         Theta = Theta.conj().T
-    D = _deviation(R, lay, wi.weights[lay.order], Theta)
-    return _schatten(D / wi.cell_norms()[None, :])[kind]
+    D = _deviation(s.sums(side), s.lay, s.wl, Theta)
+    return _schatten(D / np.sqrt(s.norms2)[None, :])[kind]
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,19 +29,16 @@ from .mmio import load_matrix_market, save_matrix_market
 from .partition import (
     Partition,
     WeightedIndicator,
-    check_equitable,
-    check_regular_equivalence,
+    _Sums,
     coarsest_front_equitable_refinement,
-    epsilon_equitability,
     weighted_refinement,
 )
 from .rectangular import block_svd, deviation_rect, rect_transform, split_block_diagonal
 from .triangularize import (
+    DeviationMatrix,
     _is_hermitian,
     _singular_values,
     block_triangularize,
-    deviation_matrices,
-    generalized_quotient,
     recover_eigenvector,
     spectrum_split,
 )
@@ -54,14 +51,22 @@ EXIT_NUMERICAL = 4
 DEFAULT_TOL = 1e-10
 
 
+def _tolerance(text: str) -> float:
+    """A finite float; a negative one makes every verdict negative."""
+    try:
+        if np.isfinite(tol := float(text)):
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+
+
 def _default_tol() -> float:
     raw = os.environ.get("EQUITILE_TOL")
-    if raw is None:
-        return DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise InputError(f"EQUITILE_TOL is not a number: {raw!r}") from exc
+        return DEFAULT_TOL if raw is None else _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"EQUITILE_TOL: {exc}") from exc
 
 
 def _digest(path) -> str:
@@ -95,6 +100,11 @@ def _read_matrix(path) -> np.ndarray:
     return A
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _read_vector(path, length: int, what: str) -> np.ndarray:
     """A JSON array of `length` finite numbers or [re, im] pairs (weights, phases)."""
     data = _load_json(path)
@@ -102,12 +112,13 @@ def _read_vector(path, length: int, what: str) -> np.ndarray:
         raise InputError(f"{path}: {what} must be a JSON array of length {length}")
     vals = []
     for item in data:
-        if isinstance(item, (int, float)):
-            vals.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            vals.append(complex(float(item[0]), float(item[1])))
-        else:
-            raise InputError(f"{path}: entries must be numbers or [re, im] pairs")
+        pair = isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))
+        if not (_is_number(item) or pair):
+            raise InputError(f"{path}: entries must be numbers or [re, im] pairs of numbers")
+        try:
+            vals.append(complex(*item) if pair else complex(item))
+        except OverflowError as exc:
+            raise InputError(f"{path}: entries must be finite") from exc
     arr = np.array(vals)
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{path}: entries must be finite")
@@ -177,15 +188,15 @@ def cmd_refine(args) -> int:
 
 def cmd_check(args) -> int:
     A, wi, _ = _load_inputs(args)
-    part = wi.partition
-    verdict = check_equitable(A, wi, side=args.side, tol=args.tol)
+    sums = _Sums(A, wi, keep=True)  # one front pass serves all three with unit weights
+    verdict = sums.verdict(args.side, args.tol)
     report = {
         "side": verdict.side,
         "is_equitable": verdict.is_equitable,
         "max_residual": verdict.max_residual,
         "tol": verdict.tol,
-        "epsilon": epsilon_equitability(A, part) if args.epsilon else None,
-        "regular": check_regular_equivalence(A, part) if args.regular else None,
+        "epsilon": sums.epsilon() if args.epsilon else None,
+        "regular": sums.regular() if args.regular else None,
     }
     _print_report(report)
     return EXIT_OK if verdict.is_equitable else EXIT_NEGATIVE
@@ -212,26 +223,24 @@ def cmd_transform(args) -> int:
     if "full" in wanted:
         files["A_hat"] = _emit(args.out_dir, "A_hat", result.assembled())
     if "eigvecs" in wanted:
-        vecs_E = np.linalg.eig(np.asarray(result.E))[1] if result.E.size else np.zeros((0, 0))
-        vecs_F = np.linalg.eig(np.asarray(result.F))[1] if result.F.size else np.zeros((0, 0))
+        (_, vecs_E), (_, vecs_F) = result.eigenpairs
         k = result.k
         Z = np.zeros((result.n, result.n), dtype=complex)
         Z[:k, :k] = vecs_E
         Z[k:, k:] = vecs_F
         files["eigvecs"] = _emit(args.out_dir, "eigvecs", recover_eigenvector(result, Z))
 
-    front, rear = deviation_matrices(A, wi)
+    sums = _Sums(A, wi, keep=True)  # one front and one rear pass, released by deviations
+    quotients = {name: _cplx_matrix(sums.quotient(alpha))
+                 for name, alpha in (("front", -1.0), ("rayleigh", 0.0), ("rear", 1.0))}
+    front, rear = (DeviationMatrix(side, T, part) for side, T in sums.deviations())
     split = spectrum_split(result, tol=args.tol)
     report = {
         "command": "transform",
         "argv": _echo_args(args),
         "inputs": _input_digests(args),
         "partition": part.to_dict(),
-        "quotients": {
-            "front": _cplx_matrix(generalized_quotient(A, wi, -1.0).entries),
-            "rayleigh": _cplx_matrix(generalized_quotient(A, wi, 0.0).entries),
-            "rear": _cplx_matrix(generalized_quotient(A, wi, 1.0).entries),
-        },
+        "quotients": quotients,
         "deviation": {
             "front": deviation_report(front).to_dict(),
             "rear": deviation_report(rear).to_dict(),
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
     p.add_argument("--weights")
     p.add_argument("--side", choices=["front", "rear"], default="front")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
     p.add_argument("--epsilon", action="store_true",
                    help="also report the smallest eps-equitability bound")
     p.add_argument("--regular", action="store_true",
@@ -375,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", default="full",
                    help="comma list from E,F,D,full,eigvecs")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("split", help="spectrum split with deviation bound")
     p.add_argument("matrix")
     p.add_argument("partition")
     p.add_argument("--weights")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("rect", help="rectangular two-sided transform")
@@ -397,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (RankDeficiencyError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,15 @@ cell. That is O(N^2) time whatever the number of cells k (O(N s) when
 refinement sums into cells of s indices), O(N k) extra memory, and no
 N-by-N temporary. The dense N-by-k indicator W is never formed;
 WeightedIndicator.matrix and indicator_matrix remain as oracles.
+
+A _Sums context holds the layout, weights and cell norms of one (A, W)
+and its front (A W) and rear (A' W) sums, each summed on first use. Each
+public reader of aggregates builds its own; a CLI run builds one, so it
+makes one pass per side. Only this module calls the kernel.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -121,15 +127,23 @@ class Partition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
+        """Inverse of to_dict; n and every index must be integers, not bools."""
         try:
-            cells = tuple(tuple(int(v) - 1 for v in c) for c in d["cells"])
-            n = int(d["n"])
+            cells = tuple(tuple(_index(v) - 1 for v in c) for c in d["cells"])
+            n = _index(d["n"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad partition object: {exc}") from exc
         p = cls(cells)
         if p.n != n:
             raise InputError(f"partition covers {p.n} indices but n = {n}")
         return p
+
+
+def _index(v) -> int:
+    """v as an int if it is an integer (Python or numpy) other than a bool."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{v!r} is not an index")
+    return operator.index(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +266,8 @@ def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
     defaults to all ones. The cells summed into are those of the layout, or
     the column set cols = (corder, cstarts): cell j holds corder[cstarts[j]]
     up to corder[cstarts[j + 1]]. With similar (front, w given) M is
-    diag(w)^-1 A diag(w), each entry formed as (A[u, v] w[v]) / w[u].
+    diag(w)^-1 A diag(w), each entry formed as (A[u, v] w[v]) / w[u]. Real w
+    scales both parts of complex entries: unit w sums bit for bit as no w.
 
     Contiguous slices of _BLOCK_ENTRIES entries' worth of rows of M are
     gathered at the set's columns in their order, cast, scaled and summed per
@@ -268,6 +283,9 @@ def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
     conj = side == "rear" and np.iscomplexobj(A)
     wc = None if w is None else w[corder]
     dtype = np.result_type(A.dtype, np.float64 if w is None else w.dtype)
+    parts = wc is not None and wc.dtype.kind != "c" and dtype.kind == "c"
+    if parts:  # scale both parts: a product with w + 0j can flip a zero's sign
+        wc = np.repeat(wc, 2)
     out = np.empty((n, cstarts.size), dtype=dtype)
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
@@ -277,7 +295,8 @@ def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
         if conj:
             np.conjugate(blk, out=blk)
         if wc is not None:
-            blk *= wc
+            scaled = blk.view(blk.real.dtype) if parts else blk
+            scaled *= wc
             if similar:
                 blk /= w[a:a + step, None]
         out[pos[a:a + step]] = np.add.reduceat(blk, cstarts, axis=1)
@@ -307,6 +326,105 @@ def _check_side(side: str) -> None:
         raise InputError(f"side must be 'front' or 'rear', got {side!r}")
 
 
+class _Sums:
+    """The cell aggregates of one (A, wi), each summed on first use.
+
+    With keep (a CLI run, which reads them more than once) each is held until
+    deviations releases it; a single library call keeps none, so each is freed
+    once read. A is not copied: a context lives only as long as its call or run.
+    """
+
+    def __init__(self, A, wi: WeightedIndicator, keep: bool = False):
+        self.partition = p = wi.partition
+        self.keep = keep
+        self.A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
+        self.wl = self.w[self.lay.order]
+        self.norms2 = np.add.reduceat(_abs2(self.wl), self.lay.starts)
+        if not np.all(self.norms2 > 0):
+            require_admissible(wi)
+        self._unit = self.w.dtype == np.float64 and bool(np.all(self.w == 1))
+        self._memo: dict[tuple[str, bool], np.ndarray] = {}
+
+    def sums(self, side: str = "front", weighted: bool = True) -> np.ndarray:
+        """A W (front) or A' W (rear) in layout rows; unit weights serve both requests."""
+        key = (side, weighted or self._unit)
+        R = self._memo.get(key)
+        if R is None:
+            R = _aggregate(self.A, self.lay, self.w if key[1] else None, side)
+            if self.keep:
+                self._memo[key] = R
+        return R
+
+    def verdict(self, side: str, tol: float) -> EquitabilityVerdict:
+        lay, wl, norms2, R = self.lay, self.wl, self.norms2, self.sums(side)
+        res = np.empty((norms2.size, norms2.size))
+        step = max(1, _BLOCK_ENTRIES // wl.size)
+        for c in range(0, norms2.size, step):
+            Rc = R[:, c:c + step]
+            E = _cell_sums(Rc, lay, wl)
+            E /= norms2[:, None]
+            res[:, c:c + step] = _cell_sums(_abs2(_deviation(Rc, lay, wl, E)), lay)
+        np.sqrt(res, out=res)
+        res /= np.sqrt(norms2)[None, :]
+        # rows of res follow the aggregated side's cells: transpose for rear
+        if side == "rear":
+            res = res.T
+        mx = float(res.max())
+        res.setflags(write=False)
+        return EquitabilityVerdict(side, mx <= tol, mx, res, tol)
+
+    def epsilon(self) -> float:
+        lay, R = self.lay, self.sums(weighted=False)
+        if not np.iscomplexobj(R):
+            spread = np.maximum.reduceat(R, lay.starts, axis=0) - \
+                np.minimum.reduceat(R, lay.starts, axis=0)
+            return float(spread.max())
+        worst = 0.0
+        bounds = np.append(lay.starts, R.shape[0])
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            X = R[a:b]
+            step = max(1, _BLOCK_ENTRIES // X.size)
+            for c in range(0, b - a, step):
+                worst = max(worst, float(np.abs(X[c:c + step, None] - X[None]).max()))
+        return worst
+
+    def regular(self, zero_tol: float = 0.0) -> bool:
+        zero = np.abs(self.sums(weighted=False)) <= zero_tol
+        counts = np.add.reduceat(zero, self.lay.starts, axis=0, dtype=np.intp)
+        return not np.any((counts > 0) & (counts < np.asarray(self.partition.sizes)[:, None]))
+
+    def quotient(self, alpha: float) -> np.ndarray:
+        """E^alpha (see generalized_quotient) from W'AW, the cell sums of A W."""
+        norms2, M = self.norms2, _cell_sums(self.sums(), self.lay, self.wl)
+        # divide by the exact squared norms for the two standard quotients so
+        # integer-exact inputs produce integer-exact entries
+        if alpha == -1.0:
+            entries = M / norms2[:, None]
+        elif alpha == 1.0:
+            entries = M / norms2[None, :]
+        else:
+            norms = np.sqrt(norms2)
+            entries = (norms ** (alpha - 1.0))[:, None] * M * (norms ** (-alpha - 1.0))[None, :]
+        entries.setflags(write=False)
+        return entries
+
+    def deviations(self) -> list[tuple[str, np.ndarray]]:
+        """(side, T) for T_front = (A W - W E_front) (W'W)^{-1/2} and T_rear =
+        (A' W - W E_rear') (W'W)^{-1/2}, rows in index order. Their last reader,
+        it releases the sums: the front ones once the rear ones are summed."""
+        lay, wl, norms2, out = self.lay, self.wl, self.norms2, []
+        for side in ("front", "rear"):
+            R = self.sums(side)
+            self._memo.pop((side, True), None)
+            D = _deviation(R, lay, wl, _cell_sums(R, lay, wl) / norms2[:, None])
+            D /= np.sqrt(norms2)[None, :]
+            T = np.empty_like(D)
+            T[lay.order] = D
+            T.setflags(write=False)
+            out.append((side, T))
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class EquitabilityVerdict:
     side: str
@@ -331,29 +449,7 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     N-by-k array is needed.
     """
     _check_side(side)
-    p = wi.partition
-    A = _square(A, p.n)
-    require_admissible(wi)
-    norms2 = wi.cell_norms2()
-    lay = _layout(p)
-    wl = wi.weights[lay.order]
-    R = _aggregate(A, lay, wi.weights, side)
-    res = np.empty((p.k, p.k))
-    step = max(1, _BLOCK_ENTRIES // p.n)
-    for c in range(0, p.k, step):
-        Rc = R[:, c:c + step]
-        E = _cell_sums(Rc, lay, wl)
-        E /= norms2[:, None]
-        res[:, c:c + step] = _cell_sums(_abs2(_deviation(Rc, lay, wl, E)), lay)
-    del R
-    np.sqrt(res, out=res)
-    res /= np.sqrt(norms2)[None, :]
-    # rows of res follow the aggregated side's cells: transpose for rear
-    if side == "rear":
-        res = res.T
-    mx = float(res.max())
-    res.setflags(write=False)
-    return EquitabilityVerdict(side, mx <= tol, mx, res, tol)
+    return _Sums(A, wi).verdict(side, tol)
 
 
 def epsilon_equitability(A, p: Partition) -> float:
@@ -364,21 +460,7 @@ def epsilon_equitability(A, p: Partition) -> float:
     come from one aggregate pass; real spreads are max - min per cell,
     complex ones a pairwise pass per cell over all k columns at once.
     """
-    A = _square(A, p.n)
-    lay = _layout(p)
-    R = _aggregate(A, lay)
-    if not np.iscomplexobj(R):
-        spread = np.maximum.reduceat(R, lay.starts, axis=0) - \
-            np.minimum.reduceat(R, lay.starts, axis=0)
-        return float(spread.max())
-    worst = 0.0
-    bounds = np.append(lay.starts, p.n)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        X = R[a:b]
-        step = max(1, _BLOCK_ENTRIES // X.size)
-        for c in range(0, b - a, step):
-            worst = max(worst, float(np.abs(X[c:c + step, None] - X[None]).max()))
-    return worst
+    return _Sums(A, WeightedIndicator.unit(p)).epsilon()
 
 
 def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
@@ -386,12 +468,7 @@ def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
 
     Counts the zero row sums of every block from one aggregate pass.
     """
-    A = _square(A, p.n)
-    lay = _layout(p)
-    zero = np.abs(_aggregate(A, lay)) <= zero_tol
-    counts = np.add.reduceat(zero, lay.starts, axis=0, dtype=np.intp)
-    sizes = np.asarray(p.sizes)[:, None]
-    return not np.any((counts > 0) & (counts < sizes))
+    return _Sums(A, WeightedIndicator.unit(p)).regular(zero_tol)
 
 
 def _color_groups(R: np.ndarray, labels: np.ndarray, color_tol: float

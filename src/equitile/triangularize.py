@@ -26,9 +26,8 @@ from .partition import (
     Partition,
     WeightedIndicator,
     _Layout,
-    _aggregate,
+    _Sums,
     _cell_sums,
-    _deviation,
     _layout,
     _square,
     require_admissible,
@@ -58,24 +57,8 @@ def generalized_quotient(A, wi: WeightedIndicator, alpha: float) -> QuotientMatr
     with the squared cell weight norms, so only scalar powers are taken.
     W'AW is the cell sums of one front aggregate pass, O(N^2) whatever k.
     """
-    p = wi.partition
-    A = _square(A, p.n)
-    require_admissible(wi)
-    norms2 = wi.cell_norms2()
-    lay = _layout(p)
-    M = _cell_sums(_aggregate(A, lay, wi.weights), lay, wi.weights[lay.order])
     alpha = float(alpha)
-    # divide by the exact squared norms for the two standard quotients so
-    # integer-exact inputs produce integer-exact entries
-    if alpha == -1.0:
-        entries = M / norms2[:, None]
-    elif alpha == 1.0:
-        entries = M / norms2[None, :]
-    else:
-        norms = np.sqrt(norms2)
-        entries = (norms ** (alpha - 1.0))[:, None] * M * (norms ** (-alpha - 1.0))[None, :]
-    entries.setflags(write=False)
-    return QuotientMatrix(alpha=alpha, entries=entries)
+    return QuotientMatrix(alpha=alpha, entries=_Sums(A, wi).quotient(alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,22 +94,7 @@ def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, Devia
     Each side is one aggregate pass (A W, resp. A' W, in layout rows) whose
     residual is scattered back to the original row order.
     """
-    p = wi.partition
-    A = _square(A, p.n)
-    require_admissible(wi)
-    norms2 = wi.cell_norms2()
-    lay = _layout(p)
-    wl = wi.weights[lay.order]
-    out = []
-    for side in ("front", "rear"):
-        R = _aggregate(A, lay, wi.weights, side)
-        D = _deviation(R, lay, wl, _cell_sums(R, lay, wl) / norms2[:, None])
-        D /= np.sqrt(norms2)[None, :]
-        T = np.empty_like(D)
-        T[lay.order] = D
-        T.setflags(write=False)
-        out.append(DeviationMatrix(side, T, p))
-    return out[0], out[1]
+    return tuple(DeviationMatrix(side, T, wi.partition) for side, T in _Sums(A, wi).deviations())
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +241,28 @@ class TriangularizationResult(_BlockForm):
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted eigenvalues of E and of F, read-only, solved on first use."""
-        out = tuple(np.sort_complex(_eigvals(M)) for M in (self.E, self.F))
+        """Sorted eigenvalues of E and of F, read-only, solved on first use.
+
+        A block that is not Hermitian takes its values from eigenpairs when
+        that was solved first.
+        """
+        solved = self.__dict__.get("eigenpairs", (None, None))
+        out = tuple(np.sort_complex(_eigvals(M, pair))
+                    for M, pair in zip((self.E, self.F), solved))
         for s in out:
             s.setflags(write=False)
+        return out
+
+    @cached_property
+    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(values, vectors) of np.linalg.eig for E and for F, read-only, solved on first use."""
+        empty = np.zeros(0, complex), np.zeros((0, 0))
+        try:
+            out = tuple(tuple(np.linalg.eig(M)) if M.size else empty for M in (self.E, self.F))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+        for arr in (arr for pair in out for arr in pair):
+            arr.setflags(write=False)
         return out
 
     @cached_property
@@ -341,13 +327,14 @@ def _singular_values(M: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD failed: {exc}") from exc
 
 
-def _eigvals(M: np.ndarray) -> np.ndarray:
+def _eigvals(M: np.ndarray, pair=None) -> np.ndarray:
+    """eigvalsh if M is Hermitian, else the values of its eig pair if given, else eigvals."""
     if M.size == 0:
         return np.zeros(0, dtype=complex)
     try:
         if _is_hermitian(M, EIG_HERMITIAN_RTOL):
             return np.linalg.eigvalsh((M + M.conj().T) / 2.0).astype(complex)
-        return np.linalg.eigvals(M)
+        return np.linalg.eigvals(M) if pair is None else pair[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
 

@@ -390,6 +390,62 @@ class TestExitCodes:
             )
             assert code == 2, payload
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": 6, "cells": [["a"], [2, 6], [3, 4, 5]]}',
+        '{"n": 6, "cells": [[1.7], [2, 6], [3, 4, 5]]}',
+        '{"n": 6.0, "cells": [[1], [2, 6], [3, 4, 5]]}',
+        '{"n": 6, "cells": [[true], [2, 6], [3, 4, 5]]}',
+        '{"n": true, "cells": [[1]]}',
+    ])
+    def test_partition_entries_must_be_integers(self, capsys, a0_file, tmp_path, payload):
+        pf = tmp_path / "p.json"
+        pf.write_text(payload)
+        code = main(["check", a0_file, str(pf)])
+        captured = capsys.readouterr()
+        assert code == 2, payload
+        assert captured.out == ""
+        assert "bad partition object" in captured.err
+
+    def test_partition_accepts_numpy_integers(self):
+        d = {"n": np.int64(3), "cells": [[np.int32(1), 3], [np.uint8(2)]]}
+        assert eq.Partition.from_dict(d).cells == ((0, 2), (1,))
+
+    @pytest.mark.parametrize("payload", [
+        "[[null, 0], 1, 1, 1, 1, 1]",
+        '[["x", 0], 1, 1, 1, 1, 1]',
+        "[true, 1, 1, 1, 1, 1]",
+        "[[1, false], 1, 1, 1, 1, 1]",
+        "[1" + "0" * 400 + ", 1, 1, 1, 1, 1]",
+    ])
+    def test_weight_entries_must_be_numbers(self, capsys, a0_file, pi0_file, tmp_path, payload):
+        wf = tmp_path / "w.json"
+        wf.write_text(payload)
+        code = main(["check", a0_file, pi0_file, "--weights", str(wf)])
+        captured = capsys.readouterr()
+        assert code == 2, payload
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "transform", "split"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_tolerance_refused(self, capsys, a0_file, pi0_file, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([command, a0_file, pi0_file, "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "abc", ""])
+    def test_non_finite_env_tolerance_refused(self, capsys, a0_file, pi0_file, monkeypatch,
+                                              raw):
+        monkeypatch.setenv("EQUITILE_TOL", raw)
+        code = main(["check", a0_file, pi0_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "EQUITILE_TOL" in captured.err
+
     def test_complex_weights_accepted(self, capsys, a0_file, pi0_file, tmp_path):
         # a global phase on the weights does not disturb equitability
         wf = tmp_path / "w.json"

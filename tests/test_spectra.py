@@ -41,9 +41,9 @@ def _random_result(rng, A):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Counts of numpy.linalg eigvalsh, eigvals and svd calls."""
+    """Counts of numpy.linalg eigvalsh, eigvals, eig and svd calls."""
     calls = Counter()
-    for name in ("eigvalsh", "eigvals", "svd"):
+    for name in ("eigvalsh", "eigvals", "eig", "svd"):
         def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _solve(*args, **kwargs)
@@ -126,6 +126,30 @@ class TestCachedSpectra:
                 arr[...] = 0
         assert eq.spectrum_split(r).eigs_E is r.spectra[0]
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_eigenpairs_seed_the_general_blocks_only(self, rng, hermitian):
+        for _ in range(30):
+            n = int(rng.integers(2, 16))
+            A = random_hermitian(rng, n) if hermitian else random_complex_matrix(rng, n)
+            r = _random_result(rng, A)
+            pairs = r.eigenpairs
+            for got, M, (values, vectors) in zip(r.spectra, (r.E, r.F), pairs):
+                assert np.allclose(M @ vectors, vectors * values, atol=1e-12 * _scale(A) * n)
+                if _is_hermitian(M, EIG_HERMITIAN_RTOL):
+                    want = np.sort_complex(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
+                else:
+                    want = np.sort_complex(values)
+                assert got.tobytes() == want.astype(complex).tobytes()
+            for arr in (*r.spectra, *r.eigenpairs[0], *r.eigenpairs[1]):
+                assert not arr.flags.writeable
+
+    def test_eigenpairs_solver_failure_is_numerical_error(self):
+        wi = eq.WeightedIndicator.unit(eq.Partition.single_cell(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = eq.block_triangularize(np.full((2, 2), 1e308), wi)
+        with pytest.raises(NumericalError):
+            r.eigenpairs
+
     def test_solver_failure_is_numerical_error(self):
         wi = eq.WeightedIndicator.unit(eq.Partition.single_cell(2))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -153,6 +177,22 @@ class TestSolverCalls:
         assert main(["split", *_write_inputs(tmp_path, A, cells)]) == 0
         assert json.loads(capsys.readouterr().out)["weyl_holds"] is True
         assert solver_calls == {"eigvalsh": 3, "svd": 2}
+
+
+    @pytest.mark.parametrize("hermitian, want", [
+        (False, {"eig": 2, "svd": 2}),
+        (True, {"eig": 2, "eigvalsh": 2, "svd": 2}),
+    ])
+    def test_cli_transform_with_eigvecs_solves_each_block_once(self, rng, tmp_path, capsys,
+                                                               solver_calls, hermitian, want):
+        # the two SVDs are the deviation reports'
+        A = random_hermitian(rng, 12) if hermitian else random_complex_matrix(rng, 12)
+        cells = [[1, 5, 9], [2, 3], [4, 6, 7, 8], [10, 11, 12]]
+        argv = ["transform", *_write_inputs(tmp_path, A, cells), "--emit", "eigvecs",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert solver_calls == want
 
 
 class TestHermitianTolerance:
