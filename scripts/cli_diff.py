@@ -5,10 +5,13 @@
 
 PARENT_SRC and CHANGE_SRC are source checkouts (or their src/ directories).
 The inputs are made once, with the parent tree: the cli-files set of
-perfbench/workloads.py for each seed, and the set of
-scripts/make_demo_inputs.py; each set also gets a file of random complex
-weights. Eight commands run on every set under each tree, as
-`python -m equitile.cli`:
+perfbench/workloads.py for each seed, the set of scripts/make_demo_inputs.py,
+and three sets of extreme values derived from it, whose square and
+rectangular matrices are scaled by 1e-30 and by 1e200 or replaced by
+matrices of exact 17-digit decimal ties, so that inputs and emitted files
+also hold values outside the writer's fast range, and ties; each set also
+gets a file of random complex weights. Eight commands run on every set
+under each tree, as `python -m equitile.cli`:
 
     refine; check --epsilon --regular on the front side, on the rear side
     and with the complex weights; transform --emit full,E,F,D,eigvecs;
@@ -16,14 +19,16 @@ weights. Eight commands run on every set under each tree, as
 
 A run is the same when the exit code, stderr, the stdout report (as JSON,
 less "timing_s") and every file it emits are identical, with the two trees'
-output directories named alike. Prints one line per run and exits 1 on any
-difference.
+output directories named alike, and in stderr their source directories and
+the line numbers of warning locations in them. Prints one line per run and
+exits 1 on any difference.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +60,27 @@ DEMO_FILES = {"graph": "A.mtx", "square": "A.mtx", "part": "part.json", "rect": 
 #: writes the cli-files inputs of perfbench for a seed into a directory
 _MAKE_CLI_FILES = "import sys, pathlib, workloads; workloads.CliFiles(int(sys.argv[2]), " \
     "pathlib.Path(sys.argv[1]))"
+
+#: copies the demo set in argv[1] to argv[2] with A.mtx and A_rect.mtx scaled
+#: by the factor argv[3], or, for "ties", replaced by matrices of exact
+#: 17-digit decimal ties: odd multiples of 2**-25, and n + 1/4, n + 3/4 for
+#: integers n of 16 digits
+_MAKE_EXTREME = """
+import shutil, sys
+from pathlib import Path
+import numpy as np
+from equitile.mmio import load_dense, save_matrix_market
+src, dst, how = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+shutil.copytree(src, dst)
+A, R = load_dense(src / "A.mtx"), load_dense(src / "A_rect.mtx")
+if how == "ties":
+    n = np.random.default_rng(0).integers(10 ** 15, 2 ** 50, (2,) + R.shape)
+    A, R = A * 2.0 ** -25, (n[0] + 0.25) + 1j * (n[1] + 0.75)
+else:
+    A, R = A * float(how), R * float(how)
+save_matrix_market(dst / "A.mtx", A)
+save_matrix_market(dst / "A_rect.mtx", R)
+"""
 
 
 def _src(tree: str) -> Path:
@@ -95,6 +121,11 @@ def _make_sets(parent: Path, workdir: Path, seeds) -> list[tuple[str, Path, dict
                     str(directory)], env=_env(parent), check=True, capture_output=True)
     _write_weights(directory, 0)
     sets.append(("demo", directory, DEMO_FILES))
+    for how in ("1e-30", "1e200", "ties"):
+        derived = workdir / f"demo-{how}"
+        subprocess.run([sys.executable, "-c", _MAKE_EXTREME, str(directory), str(derived), how],
+                       env=_env(parent), check=True)
+        sets.append((f"demo {how}", derived, DEMO_FILES))
     return sets
 
 
@@ -113,7 +144,9 @@ def _run(src: Path, directory: Path, argv: list[str], out: str) -> dict:
     if (directory / out).is_dir():
         emitted = {str(p.relative_to(directory / out)): p.read_bytes()
                    for p in sorted((directory / out).rglob("*")) if p.is_file()}
-    return {"exit code": proc.returncode, "stderr": proc.stderr.replace(out, "OUT"),
+    stderr = proc.stderr.replace(out, "OUT").replace(str(src), "SRC")
+    stderr = re.sub(r"(SRC\S*\.py):\d+:", r"\1:N:", stderr)  # a warning's location
+    return {"exit code": proc.returncode, "stderr": stderr,
             "stdout": report, "files": emitted}
 
 

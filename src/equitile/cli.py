@@ -30,6 +30,7 @@ from .partition import (
     Partition,
     WeightedIndicator,
     _Sums,
+    _index,
     coarsest_front_equitable_refinement,
     weighted_refinement,
 )
@@ -279,11 +280,11 @@ def cmd_rect(args) -> int:
     A = _read_matrix(args.matrix)
     structure = _load_json(args.structure)
     try:
-        m_sizes = [int(x) for x in structure["left"]["m_sizes"]]
-        q_sizes = [int(x) for x in structure["left"]["q_sizes"]]
-        n_sizes = [int(x) for x in structure["right"]["n_sizes"]]
-        r_sizes = [int(x) for x in structure["right"]["r_sizes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        m_sizes = [_index(x) for x in structure["left"]["m_sizes"]]
+        q_sizes = [_index(x) for x in structure["left"]["q_sizes"]]
+        n_sizes = [_index(x) for x in structure["right"]["n_sizes"]]
+        r_sizes = [_index(x) for x in structure["right"]["r_sizes"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{args.structure}: bad structure object: {exc}") from exc
     Wm = _read_matrix(args.wminus)
     Wp = _read_matrix(args.wplus)

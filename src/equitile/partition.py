@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,19 +57,36 @@ def _square(A, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint cells covering {0..N-1}; indices sorted within cells."""
+    """Ordered disjoint cells covering {0..N-1}; indices sorted within cells.
+
+    Entries must be integers by the rule of _index: Python or numpy integers,
+    or objects with __index__; floats and bools are refused.
+    """
 
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cells = tuple(tuple(sorted(int(v) for v in c)) for c in self.cells)
-        if not cells or any(len(c) == 0 for c in cells):
+        cells = [c.tolist() if isinstance(c, np.ndarray) else tuple(c) for c in self.cells]
+        sizes = [len(c) for c in cells]
+        if not cells or not all(sizes):
             raise InputError("cells must be non-empty")
-        flat = [v for c in cells for v in c]
-        n = len(flat)
-        if sorted(flat) != list(range(n)):
+        entries = list(chain.from_iterable(cells))
+        try:  # _index's rule, applied to one entry of each type
+            for v in dict(zip(map(type, entries), entries)).values():
+                _index(v)
+        except TypeError as exc:
+            raise InputError(f"cell entries must be integers: {exc}") from None
+        n = len(entries)
+        try:
+            flat = np.fromiter(entries, dtype=np.int64, count=n)
+        except OverflowError:  # beyond int64, so outside 0..N-1
+            raise InputError("cells must disjointly cover 0..N-1") from None
+        # n entries in 0..n-1 that hit every index hit each once
+        if not (flat.min() >= 0 and flat.max() < n and np.bincount(flat, minlength=n).all()):
             raise InputError("cells must disjointly cover 0..N-1")
-        object.__setattr__(self, "cells", cells)
+        members, ends = flat.tolist(), list(accumulate(sizes))
+        object.__setattr__(self, "cells", tuple(
+            tuple(sorted(members[a:b])) for a, b in zip([0, *ends], ends)))
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":

@@ -359,6 +359,24 @@ class TestRect:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("side, key, sizes", [
+        ("left", "m_sizes", [3.9, 4]),
+        ("left", "q_sizes", [True, 2]),
+        ("right", "n_sizes", ["2", 3]),
+    ])
+    def test_block_sizes_must_be_integers(self, capsys, tmp_path, rng, side, key, sizes):
+        *_, paths = self._write_inputs(tmp_path, rng, [3, 4], [1, 2], [2, 3], [1, 2])
+        structure = json.loads(open(paths["structure"]).read())
+        structure[side][key] = sizes
+        (tmp_path / "structure.json").write_text(json.dumps(structure))
+        code = main(["rect", paths["A"], paths["structure"], paths["wm"], paths["wp"],
+                     "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bad structure object" in captured.err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_garbage_matrix_file(self, capsys, tmp_path, pi0_file):

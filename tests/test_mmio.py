@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from unittest import mock
@@ -515,3 +517,151 @@ def test_codec_memory_is_bounded(tmp_path, fmt, n):
         finally:
             tracemalloc.stop()
         assert peak < 5 * M.nbytes
+
+
+# --- the vectorized writer against the %-templates --------------------------
+#
+# save_matrix_market formats the floats of array-format real and complex files
+# with x = 0 or 1e-11 <= |x| < 1e16 with integer arithmetic, and every other row
+# with its %-template; these inputs sit on and around each seam. Coordinate and
+# integer-field files are formatted by their templates and compared as well.
+
+
+def _neighbours(x, k=1):
+    """x with the k doubles on either side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(k):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def _powers_of_ten():
+    """Each double nearest a power of ten, 1e-12 to 1e17, with 1-ulp neighbours
+    (2-ulp at the ends of the fast range, 1e-11 and 1e16)."""
+    values = []
+    for e in range(-12, 18):
+        values += _neighbours(float(Fraction(10) ** e), 2 if e in (-11, 16) else 1)
+    return np.array(values)
+
+
+def _is_tie(x) -> bool:
+    """Whether the exact value of x lies halfway between two 17-digit decimals."""
+    digits = Decimal(x).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def _ties(rng):
+    """Doubles that are exact 17-digit decimal ties, in three decades."""
+    n = rng.integers(10 ** 15, 2 ** 50, 200)
+    t = [n + 0.25, n + 0.75, (n // 10) + 0.125, (n // 10) + 0.875]
+    t.append(np.array([2.0 ** -25, 3 * 2.0 ** -25, 1000000000000000.25, 1000000000000000.75]))
+    return np.concatenate(t)
+
+
+_SPLICED = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 9e-12, np.nan, -np.nan,
+            np.inf, -np.inf, 1e16, -1.5e19, 1.7976931348623157e308]
+
+
+def _same_as_reference(tmp_path, M, formats=("array", "coordinate"),
+                       fields=(None, "real", "complex", "integer")):
+    for block_rows in (5, 4096):
+        with mock.patch.object(mmio, "_BLOCK_ROWS", block_rows):
+            for fmt in formats:
+                for field in fields:
+                    if field == "integer" and not np.isfinite(np.real(M)).all():
+                        continue
+                    ref, new = tmp_path / "ref.mtx", tmp_path / "new.mtx"
+                    reference_save_matrix_market(ref, M, fmt=fmt, field=field)
+                    save_matrix_market(new, M, fmt=fmt, field=field)
+                    assert new.read_bytes() == ref.read_bytes(), (fmt, field, block_rows)
+
+
+def test_writer_powers_of_ten_and_range_edges(tmp_path):
+    x = _powers_of_ten()
+    x = np.concatenate([x, -x])
+    M = x.reshape(-1, 4)
+    _same_as_reference(tmp_path, M)
+    _same_as_reference(tmp_path, M + 1j * M[::-1])
+
+
+def test_writer_exact_decimal_ties(tmp_path, rng):
+    x = _ties(rng)
+    assert sum(map(_is_tie, x.tolist())) >= 0.9 * len(x)
+    assert "%.16e" % 1000000000000000.25 == "1.0000000000000002e+15"
+    assert "%.16e" % 1000000000000000.75 == "1.0000000000000008e+15"
+    M = np.concatenate([x, -x]).reshape(-1, 8)
+    _same_as_reference(tmp_path, M, fields=(None, "complex"))
+    _same_as_reference(tmp_path, M[:, :4] - 1j * M[:, 4:], fields=(None,))
+
+
+def test_writer_values_below_a_power_of_ten(tmp_path):
+    # the candidates for a rounding carry to 10**17 digits: the largest double
+    # below each power of ten in the fast range. None of them carries, which is
+    # why the writer has no carry step; a 1e-7, whose double lies below 10**-7,
+    # keeps exponent -8.
+    below = []
+    for e in range(-10, 17):
+        d = float(Fraction(10) ** e)
+        below.append(d if Fraction(d) < Fraction(10) ** e else float(np.nextafter(d, 0)))
+    assert all(("%.16e" % d).startswith("9.99999999999999") for d in below)
+    assert "%.16e" % 1e-7 == "9.9999999999999995e-08"
+    M = np.array(below + [-d for d in below] + [0.0, 0.0]).reshape(-1, 2)
+    _same_as_reference(tmp_path, M)
+
+
+@pytest.mark.parametrize("bias", [-0.4, 0.4])
+def test_writer_corrects_an_exponent_estimate_off_by_one(tmp_path, rng, bias):
+    # the decimal exponent from log10 is an estimate that exact comparisons
+    # with powers of ten correct by one either way; a biased log10 needs both
+    x = np.concatenate([_powers_of_ten(), rng.uniform(1, 10, 500) * 10.0 ** rng.integers(
+        -11, 16, 500)]).reshape(-1, 1)
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + bias):
+        save_matrix_market(tmp_path / "new.mtx", x)
+    reference_save_matrix_market(tmp_path / "ref.mtx", x)
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
+def test_writer_splices_special_values_into_fast_blocks(tmp_path, rng):
+    M = rng.normal(size=(41, 3)) * 10.0 ** rng.integers(-10, 15, size=(41, 3))
+    M.flat[rng.choice(M.size, size=len(_SPLICED), replace=False)] = _SPLICED
+    M[0, 0], M[-1, -1], M[5, :] = np.nan, -np.inf, 5e-324  # first and last rows too
+    _same_as_reference(tmp_path, M)
+    C = np.empty(M.shape, dtype=complex)
+    C.real, C.imag = M, np.roll(M, 7)
+    C[3, 1] = complex(2.5, np.nan)
+    _same_as_reference(tmp_path, C)
+
+
+def test_writer_integer_field_around_2_53_and_beyond_2_63(tmp_path):
+    big = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 62, 2 ** 63 - 1]
+    ints = np.array(big + [-v for v in big] + [0, 1, -1, 9, 10, -99, 100], dtype=np.int64)
+    _same_as_reference(tmp_path, ints.reshape(-1, 1))
+    _same_as_reference(tmp_path, np.concatenate([ints, [-2 ** 63]]).reshape(-1, 3))
+    floats = np.array([2.0 ** 63, -2.0 ** 63, 2.0 ** 64, 1e20, -3.5e25, 1.7976931348623157e308,
+                       2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, -0.0, -0.4, 0.5, 1.5, 2.5])
+    _same_as_reference(tmp_path, floats.reshape(-1, 2), fields=("integer",))
+
+
+def test_writer_coordinate_indices_of_one_to_seven_digits(tmp_path):
+    M = np.zeros((1_000_001, 2))
+    rows = [0] + [10 ** d - 2 for d in range(1, 7)] + [10 ** d - 1 for d in range(1, 7)]
+    M[rows + [1_000_000], 0] = 1.5
+    M[[2, 1_000_000], 1] = -2.0
+    _same_as_reference(tmp_path, M, formats=("coordinate",))
+    lines = (tmp_path / "new.mtx").read_text().splitlines()
+    assert lines[-1].startswith("1000001 2 ")
+
+
+def test_writer_matches_percent_format_on_a_million_values(tmp_path):
+    rng = np.random.default_rng(12)
+    n = 10 ** 6
+    x = rng.uniform(1, 10, n) * 10.0 ** rng.integers(-13, 19, n) * rng.choice([-1.0, 1.0], n)
+    x[: n // 4] = rng.normal(size=n // 4)
+    path = tmp_path / "m.mtx"
+    save_matrix_market(path, x.reshape(-1, 1))
+    body = path.read_text().split("\n", 2)[2]
+    assert body == ("%.16e\n" * n) % tuple(x.tolist())

@@ -34,6 +34,42 @@ class TestPartition:
         with pytest.raises(InputError):
             eq.Partition.from_cells([])
 
+    @pytest.mark.parametrize("cells", [
+        [[0.5, 1.9], [2]],
+        [[True, False], [2]],
+        [[0, 1.0], [2]],
+        [[np.float64(0), 1], [2]],
+        [[np.True_, 1], [0]],
+        [np.array([0.0, 1.0]), [2]],
+        [["0", 1], [2]],
+    ])
+    def test_non_integer_entries_refused(self, cells):
+        with pytest.raises(InputError, match="integers"):
+            eq.Partition.from_cells(cells)
+
+    def test_entries_beyond_int64_refused(self):
+        with pytest.raises(InputError, match="cover"):
+            eq.Partition.from_cells([[0], [2 ** 70]])
+
+    def test_numpy_integer_entries_load_as_python_ints(self):
+        p = eq.Partition((np.array([3, 1]), (np.int32(2), np.uint8(0))))
+        assert p.cells == ((1, 3), (0, 2))
+        assert {type(v) for c in p.cells for v in c} == {int}
+        assert p == eq.Partition.from_cells([[1, 3], [0, 2]])
+
+    def test_entries_follow_the_index_rule(self):
+        # an entry is an integer by the rule of partition files: __index__
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        assert eq.Partition.from_cells([[Index(1), 0], [Index(2)]]).cells == ((0, 1), (2,))
+        with pytest.raises(InputError, match="integers"):
+            eq.Partition.from_cells([[Index(1), 0.0], [2]])
+
     def test_within_cell_sorting(self):
         p = eq.Partition.from_cells([[5, 1], [0, 3], [2, 4]])
         assert p.cells == ((1, 5), (0, 3), (2, 4))
