@@ -21,7 +21,10 @@ A run is the same when the exit code, stderr, the stdout report (as JSON,
 less "timing_s") and every file it emits are identical, with the two trees'
 output directories named alike, and in stderr their source directories and
 the line numbers of warning locations in them. Prints one line per run and
-exits 1 on any difference.
+exits 1 on any difference. When a run's reports and files differ only in
+numbers (same exit code, stderr, keys, strings and Matrix Market headers),
+its line also gives the largest absolute difference over them divided by
+the Frobenius norm of the run's input matrix.
 """
 from __future__ import annotations
 
@@ -159,6 +162,65 @@ def _differences(a: dict, b: dict) -> list[str]:
     return diffs
 
 
+#: prints the Frobenius norm of the Matrix Market file argv[1], at any magnitude
+_NORM = """
+import sys
+import numpy as np
+from equitile.mmio import load_dense
+A = load_dense(sys.argv[1])
+top = float(np.abs(A).max(initial=0.0))
+print(repr(top * float(np.linalg.norm(A / top)) if top else 0.0))
+"""
+
+
+def _numbers(a, b) -> list[tuple[float, float]] | None:
+    """The pairs of numbers at which two parsed reports differ, or None when
+    they differ in anything else: structure, keys, strings or flags."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return [] if a == b else None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return [] if a == b else [(a, b)]
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        a, b = [a[key] for key in a], [b[key] for key in a]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = []
+        for x, y in zip(a, b):
+            sub = _numbers(x, y)
+            if sub is None:
+                return None
+            pairs += sub
+        return pairs
+    return [] if a == b else None
+
+
+def _file_numbers(a: bytes, b: bytes) -> list[tuple[float, float]] | None:
+    """_numbers over the values of two Matrix Market files whose header and
+    size lines agree."""
+    lines = [text.decode().splitlines() for text in (a, b)]
+    head = [next(i for i, ln in enumerate(ls) if not ln.startswith("%")) + 1 for ls in lines]
+    if head[0] != head[1] or lines[0][:head[0]] != lines[1][:head[1]]:
+        return None
+    values = [" ".join(ls[h:]).split() for ls, h in zip(lines, head)]
+    return _numbers(*([float(v) for v in vs] for vs in values))
+
+
+def _numeric_size(a: dict, b: dict, norm: float) -> float | None:
+    """max |difference| / norm when two runs differ only in numbers, else None."""
+    if a["exit code"] != b["exit code"] or a["stderr"] != b["stderr"] \
+            or a["files"].keys() != b["files"].keys():
+        return None
+    pairs = _numbers(a["stdout"], b["stdout"])
+    for name in a["files"]:
+        if pairs is not None:
+            more = _file_numbers(a["files"][name], b["files"][name])
+            pairs = None if more is None else pairs + more
+    if pairs is None:
+        return None
+    return max((abs(x - y) for x, y in pairs), default=0.0) / norm
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
@@ -183,6 +245,15 @@ def main(argv=None) -> int:
                 status |= bool(diffs)
                 change = runs["change"]
                 verdict = "DIFFERENT " + ", ".join(diffs) if diffs else "same"
+                size = None
+                if diffs:  # the matrix is the first argument of every command
+                    norm = subprocess.run(
+                        [sys.executable, "-c", _NORM, template[1].format(**names)],
+                        cwd=directory, env=_env(trees["parent"]), check=True,
+                        capture_output=True, text=True).stdout
+                    size = _numeric_size(runs["parent"], runs["change"], float(norm))
+                if size is not None:
+                    verdict += f"; numbers only, max |difference| / ||A||_F = {size:.3g}"
                 print(f"{label} {name}: {verdict} (exit {change['exit code']}, "
                       f"{len(change['files'])} files)", flush=True)
     finally:

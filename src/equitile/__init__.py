@@ -45,6 +45,7 @@ from .rectangular import (
     rect_transform,
 )
 from .reflector import (
+    BlockReflector,
     ElementaryUnitary,
     apply_left,
     apply_right,
@@ -54,7 +55,6 @@ from .reflector import (
     gamma,
 )
 from .triangularize import (
-    BlockReflector,
     DeviationMatrix,
     QuotientMatrix,
     SpectrumSplit,

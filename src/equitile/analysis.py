@@ -20,7 +20,9 @@ from .partition import (
     _cell_sums,
     _check_side,
     _deviation,
+    _frobenius,
     _layout,
+    _scaled,
     _square,
 )
 from .triangularize import (DeviationMatrix, TriangularizationResult, _is_hermitian,
@@ -47,7 +49,8 @@ _NORM_ALIASES = {
 def _schatten(M: np.ndarray) -> dict:
     """Frobenius, spectral and nuclear norm of M from one SVD."""
     s = _singular_values(M)
-    return {"frobenius": float(np.sqrt((s**2).sum())),
+    t, e = _scaled(s)
+    return {"frobenius": float(np.ldexp(np.sqrt((t**2).sum()), -e)),
             "spectral": float(s.max(initial=0.0)), "nuclear": float(s.sum())}
 
 
@@ -76,14 +79,19 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
 
     The nonzero column count upper-bounds the rank; the squared Frobenius
     norm equals the sum of squared deviation-vector norms. The per-block
-    norms are cell sums of |T|^2 over the layout rows, O(N k).
+    norms are cell sums of |T|^2 over the layout rows, O(N k). T is scaled
+    by a power of two before it is squared when its magnitude needs it
+    (partition._scaled), so all hold at any magnitude.
     """
     M = np.asarray(T.assembled)
     norms = _schatten(M)
-    col_norms = np.linalg.norm(M, axis=0) if M.size else np.zeros(M.shape[1])
+    S, e = _scaled(M)
+    col_norms = np.linalg.norm(S, axis=0)
+    np.ldexp(col_norms, -e, out=col_norms)
     nonzero = int((col_norms > NONZERO_COLUMN_RTOL * norms["frobenius"]).sum())
     lay = _layout(T.partition)
-    per_block = np.sqrt(_cell_sums(_abs2(M[lay.order]), lay))
+    per_block = np.sqrt(_cell_sums(_abs2(S[lay.order]), lay))
+    np.ldexp(per_block, -e, out=per_block)
     if T.side == "rear":
         per_block = per_block.T
     per_block.setflags(write=False)
@@ -135,7 +143,8 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
     lambda the sorted spectrum of A, and tau = r.tau_spec the largest
     singular value over both off-diagonal blocks. Pairing is strictly by
     sorted order. Input that is not Hermitian within WEYL_HERMITIAN_RTOL is
-    refused since the bound requires Hermiticity.
+    refused since the bound requires Hermiticity. The slack is slack_rtol
+    times ||A||_F, taken as the 2-norm of lambda (Hermitian A) at any scale.
     """
     A = _square(A, r.n)
     if not _is_hermitian(A, WEYL_HERMITIAN_RTOL):
@@ -143,7 +152,7 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
     lam = np.sort(np.linalg.eigvalsh((A + A.conj().T) / 2.0))
     mu = np.sort(np.concatenate(r.spectra).real)
     gap = float(np.abs(mu - lam).max()) if lam.size else 0.0
-    slack = slack_rtol * np.linalg.norm(A)
+    slack = slack_rtol * _frobenius(lam)
     mu.setflags(write=False)
     lam.setflags(write=False)
     return PerturbationCheck(joint_spectrum=mu, reference=lam, tau_spec=r.tau_spec,

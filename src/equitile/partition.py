@@ -274,6 +274,54 @@ def _abs2(X: np.ndarray) -> np.ndarray:
     return X * X
 
 
+def _pow2_scale(X: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Scale X in place by powers of two and return their exponents e.
+
+    X is multiplied by the 2^e that brings its largest |Re| or |Im| into
+    [0.5, 1), or with starts each segment of rows starts[i] up to
+    starts[i + 1] of each column by its own; an all-zero part keeps e = 0.
+    Squares of the scaled entries cannot overflow, nor all underflow to
+    zero, as in LAPACK's dznrm2, and the scaling is exact: a norm of the
+    scaled entries times 2^-e is the plain norm wherever that one neither
+    overflows nor underflows.
+    """
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    if starts is None:
+        e = rows = -np.frexp(_largest(X))[1]
+    else:
+        mag = np.maximum(*map(np.abs, parts)) if len(parts) == 2 else np.abs(X)
+        e = -np.frexp(np.maximum.reduceat(mag, starts, axis=0))[1]
+        rows = np.repeat(e, np.diff(starts, append=len(X)), axis=0)
+    for part in parts:
+        np.ldexp(part, rows, out=part)
+    return e
+
+
+def _largest(X: np.ndarray) -> float:
+    """The largest |Re| or |Im| of X, from maxima and minima: no temporary."""
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    return max(max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts)
+
+
+def _scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X, 0) when the largest |Re| or |Im| of X is 0 or within 2^+-400, where
+    sums of the squares of X neither overflow nor underflow to zero; else
+    (Y, e) with Y = X 2^e a copy scaled by _pow2_scale. A norm of Y times
+    2^-e is then the norm of X at any magnitude, and in the normal range the
+    plain one, bit for bit and with no copy."""
+    top = _largest(X)
+    if top == 0 or 2.0**-400 <= top <= 2.0**400:
+        return X, 0
+    Y = np.array(X, dtype=np.result_type(X, np.float64))
+    return Y, int(_pow2_scale(Y))
+
+
+def _frobenius(X) -> float:
+    """np.linalg.norm(X) at any magnitude of X (see _scaled)."""
+    Y, e = _scaled(np.asarray(X))
+    return float(np.ldexp(np.linalg.norm(Y), -e))
+
+
 def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
                side: str = "front", cols: tuple[np.ndarray, np.ndarray] | None = None,
                similar: bool = False) -> np.ndarray:
@@ -380,8 +428,11 @@ class _Sums:
             Rc = R[:, c:c + step]
             E = _cell_sums(Rc, lay, wl)
             E /= norms2[:, None]
-            res[:, c:c + step] = _cell_sums(_abs2(_deviation(Rc, lay, wl, E)), lay)
-        np.sqrt(res, out=res)
+            D, e = _scaled(_deviation(Rc, lay, wl, E))
+            blk = res[:, c:c + step]
+            blk[:] = _cell_sums(_abs2(D), lay)
+            np.sqrt(blk, out=blk)
+            np.ldexp(blk, -e, out=blk)
         res /= np.sqrt(norms2)[None, :]
         # rows of res follow the aggregated side's cells: transpose for rear
         if side == "rear":
@@ -463,7 +514,9 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     One aggregate pass gives R = A W (front) or A' W (rear) in layout rows;
     E = W'R / ||w_i||^2 and the residual R - W E are then formed in column
     blocks, two-pass, so small residuals keep their digits and no second
-    N-by-k array is needed.
+    N-by-k array is needed. A column block of the residual whose magnitude
+    needs it is scaled by a power of two before it is squared (_scaled), so
+    the residuals hold at any float64 magnitude of A.
     """
     _check_side(side)
     return _Sums(A, wi).verdict(side, tol)

@@ -1,4 +1,5 @@
-"""Complex elementary unitary matrices as rank-one updates of the identity.
+"""Complex elementary unitary matrices as rank-one updates of the identity,
+one cell or many.
 
 An elementary unitary H maps the first standard basis vector f into the
 direction of a prescribed vector x:
@@ -9,21 +10,35 @@ where beta is a free unit-modulus phase. For real x and beta = -sign(x[0])
 this reduces to the classic Householder reflector. H is stored as
 H = I + coeff * y y' with a unit vector y, so storage is O(n) and
 application to an n-by-m matrix costs O(n m).
+
+The block transform has one such unitary per cell of a partition. Stacked,
+they form H = I + Y diag(c) Y' with Y the N-by-k block diagonal of the
+cells' unit vectors: the storage-efficient form of Schreiber & Van Loan
+(SIAM J. Sci. Stat. Comput. 10, 1989). _build makes every cell's y and c
+at once from the cells' vectors laid end to end, in a fixed number of numpy
+calls whatever the number of cells, and BlockReflector applies them.
+build_reflector and ElementaryUnitary are the one-cell case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import opcount
 from .errors import InputError
+from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _Layout, _layout,
+                        _pow2_scale, _square)
 
 #: elementwise tolerance (relative to ||x||) for the identity branch,
 #: where the rank-one denominator vanishes exactly
 BRANCH_TOL = 1e-14
 
 PHASE_TOL = 1e-12
+
+#: the segment starts of one cell
+_ONE_CELL = np.zeros(1, dtype=np.intp)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -37,49 +52,89 @@ def _as_vector(x) -> np.ndarray:
     return x
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that brings its largest component into [0.5, 1).
-
-    Squares of the scaled entries can neither overflow nor underflow to
-    zero, as in LAPACK's dznrm2. The scaling is exact, and every quantity
-    built from x is homogeneous of degree zero, so it removes over- and
-    underflow and nothing else. The zero vector is returned as is.
-    """
-    s = max(np.abs(x.real).max(), np.abs(x.imag).max()) if np.iscomplexobj(x) \
-        else np.abs(x).max()
-    if s == 0:
-        return x
-    e = -int(np.frexp(s)[1])
-    if not np.iscomplexobj(x):
-        return np.ldexp(x, e)
-    out = np.empty_like(x)
-    out.real = np.ldexp(x.real, e)
-    out.imag = np.ldexp(x.imag, e)
-    return out
-
-
-def _check_phase(beta: complex) -> complex:
-    beta = complex(beta)
-    if not np.isfinite(beta) or abs(abs(beta) - 1.0) > PHASE_TOL:
-        raise InputError(f"phase must have unit modulus, got |beta| = {abs(beta)!r}")
+def _check_phases(phases, k: int) -> np.ndarray:
+    """The k given phases as a complex array, each finite and of unit modulus."""
+    beta = np.array(phases, dtype=complex)
+    if beta.shape != (k,):
+        raise InputError(f"expected {k} phases, got {beta.size}")
+    modulus = np.abs(beta)
+    bad = ~(np.abs(modulus - 1.0) <= PHASE_TOL)  # NaN and inf are bad too
+    if bad.any():
+        raise InputError(f"phase must have unit modulus, got |beta| = {float(modulus[bad][0])!r}")
     return beta
 
 
-def beta0(x) -> complex:
-    """Default phase choice: -conj(x[0])/|x[0]|, or 1 when x[0] = 0.
+def _default_phases(x0: np.ndarray) -> np.ndarray:
+    """-conj(x0)/|x0| for each cell's first entry x0, or 1 where x0 = 0.
 
     Avoids cancellation in the rank-one denominator and coincides with the
     standard sign convention for real Householder vectors. The phase is
-    taken from x[0]/max(|Re x[0]|, |Im x[0]|), so subnormal and huge
-    entries do not overflow.
+    taken from x0/max(|Re x0|, |Im x0|), so subnormal and huge entries do
+    not overflow.
     """
-    x = _as_vector(x)
-    x1 = complex(x[0])
-    s = max(abs(x1.real), abs(x1.imag))
-    if s == 0:
-        return 1.0 + 0.0j
-    u = complex(x1.real / s, x1.imag / s)
-    return -u.conjugate() / abs(u)
+    s = np.maximum(np.abs(x0.real), np.abs(x0.imag))
+    nz = s > 0
+    beta = np.ones(x0.size, dtype=complex)
+    ur, ui = x0.real[nz] / s[nz], x0.imag[nz] / s[nz]
+    u = np.hypot(ur, ui)
+    beta.real[nz], beta.imag[nz] = -ur / u, ui / u
+    return beta
+
+
+def _build(x: np.ndarray, starts: np.ndarray, phases=None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elementary unitary of every cell at once, as read-only arrays (y, c, beta).
+
+    x holds the cells' finite vectors one after another, cell i from
+    starts[i]; phases gives one unit-modulus phase per cell, or None for the
+    default. y stacks the cells' unit vectors and c holds their
+    coefficients; both are zero on a cell that takes the identity branch,
+    which it does when x/||x|| equals conj(beta) f elementwise within
+    BRANCH_TOL * ||x||, where the rank-one denominator vanishes exactly.
+    y and c are real when x and every phase are.
+
+    H depends on the direction of x only, so each cell is first scaled by
+    the power of two that brings its largest component into [0.5, 1)
+    (_pow2_scale): any finite nonzero cell works.
+    """
+    sizes = np.diff(starts, append=x.size)
+    beta = _default_phases(x[starts]) if phases is None else _check_phases(phases, sizes.size)
+    real = x.dtype.kind == "f" and not beta.imag.any()
+    b = beta.real if real else beta
+    y = x.astype(b.dtype)
+    _pow2_scale(y, starts)
+    x0 = y[starts]
+    energy = _abs2(y)
+    energy[starts] = 0.0
+    tail = np.add.reduceat(energy, starts)
+    nrm = np.sqrt(np.abs(x0) ** 2 + tail)
+    if not nrm.all():
+        raise InputError("cannot build a reflector from the zero vector")
+
+    # pivot w = beta*x[0] - ||x||, computed without cancellation where the
+    # two terms nearly agree: the difference then carries only the tail
+    # energy and the imaginary part of beta*x[0]
+    z = b * x0
+    w = z - nrm
+    near = z.real > 0
+    zn, tn = z[near], tail[near]
+    w[near] = (-tn if real else 2j * zn * zn.imag - tn) / (zn + nrm[near])
+    y[starts] = np.conj(b) * w
+
+    ident = np.maximum.reduceat(np.abs(y), starts) <= BRANCH_TOL * nrm
+    ynrm = np.sqrt(np.add.reduceat(_abs2(y), starts))
+    c = np.zeros_like(b)
+    c[~ident] = ynrm[~ident] ** 2 / (nrm * np.conj(w))[~ident]
+    ynrm[ident] = np.inf  # zeroes the identity cells' vectors
+    y /= np.repeat(ynrm, sizes)
+    for arr in (y, c, beta):
+        arr.setflags(write=False)
+    return y, c, beta
+
+
+def beta0(x) -> complex:
+    """Default phase choice: -conj(x[0])/|x[0]|, or 1 when x[0] = 0."""
+    return complex(_default_phases(_as_vector(x)[:1])[0])
 
 
 def gamma(x, beta) -> float:
@@ -88,67 +143,116 @@ def gamma(x, beta) -> float:
     gamma(x, beta) = pinv(||x|| - Re(beta*x[0])) * Im(beta*x[0]), where the
     scalar pseudo-inverse maps 0 to 0.
     """
-    x = _unit_scaled(_as_vector(x))
+    x = _as_vector(x).copy()
+    _pow2_scale(x)
     nrm = np.linalg.norm(x)
     if nrm == 0:
         raise InputError("gamma is undefined for the zero vector")
-    z = _check_phase(beta) * complex(x[0])
+    z = complex(_check_phases([beta], 1)[0] * x[0])
     a = nrm - z.real
     return 0.0 if a == 0 else z.imag / a
 
 
 @dataclass(frozen=True, eq=False)
-class ElementaryUnitary:
-    """Unitary H = I + coeff * y y' with unit vector y (or H = I)."""
+class BlockReflector:
+    """Block diagonal unitary: one elementary unitary per cell.
 
-    dim: int
-    y: np.ndarray | None
-    coeff: complex
+    Acts in the block-contiguous layout of the partition as
+    H = I + Y diag(c) Y', with Y the N-by-k block diagonal of the cells'
+    unit vectors stacked in vectors (zero on identity cells), c in coeffs
+    and each cell's phase in phases. Every application is one rank-one
+    kernel whose Y'X is a weighted segment sum over the layout: storage is
+    O(N), and applying it to an N-by-m matrix costs O(N m) whatever k.
+    """
+
+    vectors: np.ndarray
+    coeffs: np.ndarray
+    phases: np.ndarray
+    partition: Partition
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.partition.sizes
+
+    @property
+    def n(self) -> int:
+        return self.partition.n
+
+    @cached_property
+    def _lay(self) -> _Layout:
+        return _layout(self.partition)
+
+    def _rank_one(self, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """X += Y diag(c) Y' X in place for an N-by-m X, in column blocks of
+        _BLOCK_ENTRIES entries so the temporaries are of the block size."""
+        lay = self._lay
+        yc = (c[lay.labels] * y)[:, None]
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        for a in range(0, X.shape[1], step):
+            blk = X[:, a:a + step]
+            blk += yc * _cell_sums(blk, lay, y)[lay.labels]
+        opcount.add(2 * X.size + self.n)
+        return X
+
+    def _cast(self, M, axis: int, ndims=(2,), copy: bool = True) -> np.ndarray:
+        """M checked to have N entries along axis, in the dtype of H M."""
+        M = np.asarray(M)
+        if M.ndim not in ndims or M.shape[axis] != self.n:
+            what = "rows" if axis == 0 else "columns"
+            raise InputError(f"array with {self.n} {what} required, got {M.shape}")
+        dtype = np.result_type(M.dtype, self.vectors.dtype, self.coeffs.dtype)
+        return M.astype(dtype, copy=copy)
+
+    def _conjugate_in_place(self, X: np.ndarray) -> np.ndarray:
+        """X <- H' X H: H' = I + Y diag(conj c) Y' on the rows of X, then
+        H^T = I + conj(Y) diag(c) Y^T on the rows of X^T."""
+        self._rank_one(X, self.vectors, self.coeffs.conj())
+        self._rank_one(X.T, self.vectors.conj(), self.coeffs)
+        return X
+
+    def apply_left(self, M) -> np.ndarray:
+        """H' M, for M with N rows."""
+        return self._rank_one(self._cast(M, 0), self.vectors, self.coeffs.conj())
+
+    def apply_right(self, M) -> np.ndarray:
+        """M H, for M with N columns."""
+        out = self._cast(M, 1)
+        self._rank_one(out.T, self.vectors.conj(), self.coeffs)
+        return out
+
+    def conjugate(self, A) -> np.ndarray:
+        """H' A H, for an N-by-N A."""
+        return self._conjugate_in_place(self._cast(_square(A, self.n), 0))
+
+    def matvec(self, v) -> np.ndarray:
+        """H v for a vector of length N, or H V for a matrix V with N rows."""
+        out = self._cast(v, 0, (1, 2))
+        self._rank_one(out if out.ndim == 2 else out[:, None], self.vectors, self.coeffs)
+        return out
+
+    def dense(self) -> np.ndarray:
+        return self.matvec(np.eye(self.n))
+
+
+class ElementaryUnitary(BlockReflector):
+    """Unitary H = I + coeff * y y' with unit vector y (or H = I): the
+    BlockReflector of a single cell."""
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    @property
+    def coeff(self):
+        return self.coeffs[0]
 
     @property
     def kind(self) -> str:
-        return "identity" if self.y is None else "rank_one"
+        return "identity" if self.coeff == 0 else "rank_one"
 
-    def matvec(self, v) -> np.ndarray:
-        """Compute H v."""
-        v = np.asarray(v)
-        if v.shape != (self.dim,):
-            raise InputError(f"vector of length {self.dim} required, got {v.shape}")
-        if self.y is None:
-            return v.copy()
-        opcount.add(2 * self.dim)
-        return v + (self.coeff * np.vdot(self.y, v)) * self.y
-
-    def apply_left(self, M) -> np.ndarray:
-        """Compute H' M for an n-by-m matrix M."""
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[0] != self.dim:
-            raise InputError(f"matrix with {self.dim} rows required, got {M.shape}")
-        if self.y is None:
-            return M.copy()
-        y = self.y
-        t = y.conj() @ M
-        opcount.add(2 * self.dim * M.shape[1] + self.dim)
-        return M + np.outer(np.conj(self.coeff) * y, t)
-
-    def apply_right(self, M) -> np.ndarray:
-        """Compute M H for an m-by-n matrix M."""
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[1] != self.dim:
-            raise InputError(f"matrix with {self.dim} columns required, got {M.shape}")
-        if self.y is None:
-            return M.copy()
-        y = self.y
-        t = M @ y
-        opcount.add(2 * self.dim * M.shape[0] + self.dim)
-        return M + np.outer(t, self.coeff * y.conj())
-
-    def dense(self) -> np.ndarray:
-        if self.y is None:
-            return np.eye(self.dim)
-        return np.eye(self.dim, dtype=self.y.dtype) + self.coeff * np.outer(
-            self.y, self.y.conj()
-        )
+    @property
+    def y(self) -> np.ndarray | None:
+        return None if self.kind == "identity" else self.vectors
 
 
 def build_reflector(x, beta=None) -> ElementaryUnitary:
@@ -162,48 +266,12 @@ def build_reflector(x, beta=None) -> ElementaryUnitary:
     The identity branch is taken when x/||x|| equals conj(beta) f
     elementwise within BRANCH_TOL * ||x||; there the rank-one denominator
     vanishes exactly. H depends on the direction of x only, so x is first
-    scaled by a power of two: any finite nonzero x works.
+    scaled by a power of two: any finite nonzero x works. This is the
+    one-cell case of the block builder.
     """
-    x = _unit_scaled(_as_vector(x))
-    tail_energy = float(np.real(np.vdot(x[1:], x[1:])))
-    nrm = float(np.sqrt(abs(x[0]) ** 2 + tail_energy))
-    if nrm == 0:
-        raise InputError("cannot build a reflector from the zero vector")
-    if beta is None:
-        beta = beta0(x)
-    beta = _check_phase(beta)
-
-    real_case = x.dtype.kind == "f" and beta.imag == 0.0
-
-    # pivot w = beta*x[0] - ||x||, computed without cancellation when the
-    # two terms nearly agree: the difference then carries only the tail
-    # energy and the imaginary part of beta*x[0]
-    if real_case:
-        b = beta.real
-        z = float(b * x[0])
-        w = -tail_energy / (z + nrm) if z > 0 else z - nrm
-        y0 = x.astype(np.float64)
-        y0[0] = b * w
-        den = nrm * w
-    else:
-        b = beta
-        z = complex(b * x[0])
-        if z.real > 0:
-            w = (2j * z * z.imag - tail_energy) / (z + nrm)
-        else:
-            w = z - nrm
-        y0 = x.astype(np.complex128)
-        y0[0] = np.conj(b) * w
-        den = nrm * np.conj(w)
-
-    if np.abs(y0).max() <= BRANCH_TOL * nrm:
-        return ElementaryUnitary(dim=x.size, y=None, coeff=0.0)
-
-    ynrm = np.linalg.norm(y0)
-    y = y0 / ynrm
-    coeff = ynrm**2 / den
-    y.setflags(write=False)
-    return ElementaryUnitary(dim=x.size, y=y, coeff=coeff)
+    x = _as_vector(x)
+    y, c, phases = _build(x, _ONE_CELL, None if beta is None else [beta])
+    return ElementaryUnitary(y, c, phases, Partition.single_cell(x.size))
 
 
 def apply_left(h: ElementaryUnitary, M) -> np.ndarray:

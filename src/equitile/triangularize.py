@@ -19,22 +19,19 @@ from typing import Sequence
 
 import numpy as np
 
-from . import opcount
 from .errors import InputError, NumericalError
 from .partition import (
-    _BLOCK_ENTRIES,
     Partition,
     WeightedIndicator,
-    _Layout,
     _Sums,
-    _cell_sums,
+    _frobenius,
     _layout,
     _square,
     require_admissible,
     suitable_indexing_permutation,
 )
 from .rectangular import _BlockForm, _gather_blocks, omega_nr_permutation
-from .reflector import ElementaryUnitary, beta0, build_reflector, _check_phase
+from .reflector import BlockReflector, _as_vector, _build
 
 #: E or F counts as Hermitian, and is solved by eigvalsh, when
 #: max|M - M'| <= EIG_HERMITIAN_RTOL * max(1, max|M|)
@@ -97,110 +94,20 @@ def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, Devia
     return tuple(DeviationMatrix(side, T, wi.partition) for side, T in _Sums(A, wi).deviations())
 
 
-@dataclass(frozen=True, eq=False)
-class BlockReflector:
-    """Block diagonal unitary: one elementary unitary per cell.
-
-    Acts in the block-contiguous layout of the partition. Stacked, H is
-    I + Y diag(c) Y' with Y the N-by-k block diagonal of the cells' unit
-    vectors, and every application is one rank-one kernel whose Y'X is a
-    weighted segment sum over the layout: storage is O(N), and applying it
-    to an N-by-m matrix costs O(N m) whatever k.
-    """
-
-    reflectors: tuple[ElementaryUnitary, ...]
-    phases: tuple[complex, ...]
-    partition: Partition
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.partition.sizes
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, _Layout]:
-        """Stacked unit vectors y (zero on identity cells), coefficients c, layout."""
-        y = np.concatenate([np.zeros(h.dim) if h.y is None else h.y for h in self.reflectors])
-        return y, np.array([h.coeff for h in self.reflectors]), _layout(self.partition)
-
-    def _rank_one(self, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """X += Y diag(c) Y' X in place for an N-by-m X, in column blocks of
-        _BLOCK_ENTRIES entries so the temporaries are of the block size."""
-        lay = self._stacked[2]
-        yc = (c[lay.labels] * y)[:, None]
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        for a in range(0, X.shape[1], step):
-            blk = X[:, a:a + step]
-            blk += yc * _cell_sums(blk, lay, y)[lay.labels]
-        opcount.add(2 * X.size + self.n)
-        return X
-
-    def _cast(self, M, axis: int, ndims=(2,), copy: bool = True) -> np.ndarray:
-        """M checked to have N entries along axis, in the dtype of H M."""
-        M = np.asarray(M)
-        if M.ndim not in ndims or M.shape[axis] != self.n:
-            what = "rows" if axis == 0 else "columns"
-            raise InputError(f"array with {self.n} {what} required, got {M.shape}")
-        y, c, _ = self._stacked
-        return M.astype(np.result_type(M.dtype, y.dtype, c.dtype), copy=copy)
-
-    def _conjugate_in_place(self, X: np.ndarray) -> np.ndarray:
-        """X <- H' X H: H' = I + Y diag(conj c) Y' on the rows of X, then
-        H^T = I + conj(Y) diag(c) Y^T on the rows of X^T."""
-        y, c, _ = self._stacked
-        self._rank_one(X, y, c.conj())
-        self._rank_one(X.T, y.conj(), c)
-        return X
-
-    def apply_left(self, M) -> np.ndarray:
-        """H' M, for M with N rows."""
-        y, c, _ = self._stacked
-        return self._rank_one(self._cast(M, 0), y, c.conj())
-
-    def apply_right(self, M) -> np.ndarray:
-        """M H, for M with N columns."""
-        y, c, _ = self._stacked
-        out = self._cast(M, 1)
-        self._rank_one(out.T, y.conj(), c)
-        return out
-
-    def conjugate(self, A) -> np.ndarray:
-        """H' A H, for an N-by-N A."""
-        return self._conjugate_in_place(self._cast(_square(A, self.n), 0))
-
-    def matvec(self, v) -> np.ndarray:
-        """H v for a vector of length N, or H V for a matrix V with N rows."""
-        y, c, _ = self._stacked
-        out = self._cast(v, 0, (1, 2))
-        self._rank_one(out if out.ndim == 2 else out[:, None], y, c)
-        return out
-
-    def dense(self) -> np.ndarray:
-        return self.matvec(np.eye(self.n))
-
-
 def build_block_reflector(wi: WeightedIndicator, phases="auto") -> BlockReflector:
-    """One elementary unitary per cell, built from the cell weight blocks.
+    """One elementary unitary per cell, all built at once from the cell weight blocks.
 
     "auto" picks the default phase of each weight block. The result acts on
     suitably indexed (block-contiguous) matrices.
     """
     require_admissible(wi)
-    k = wi.partition.k
-    blocks = [wi.cell_weights(i) for i in range(k)]
     if phases is None or isinstance(phases, str):
         if phases not in (None, "auto"):
             raise InputError(f"phases must be 'auto' or a sequence, got {phases!r}")
-        betas = tuple(beta0(b) for b in blocks)
-    else:
-        betas = tuple(_check_phase(b) for b in phases)
-        if len(betas) != k:
-            raise InputError(f"expected {k} phases, got {len(betas)}")
-    refl = tuple(build_reflector(b, beta) for b, beta in zip(blocks, betas))
-    return BlockReflector(reflectors=refl, phases=betas, partition=wi.partition)
+        phases = None
+    lay = _layout(wi.partition)
+    y, c, betas = _build(_as_vector(wi.weights[lay.order]), lay.starts, phases)
+    return BlockReflector(y, c, betas, wi.partition)
 
 
 def omega_permutation(n_sizes: Sequence[int]) -> np.ndarray:
@@ -352,7 +259,7 @@ def spectrum_split(r: TriangularizationResult, tol: float = 1e-10) -> SpectrumSp
     When exact, the multiset union of the two spectra is the spectrum of A.
     """
     eigs_E, eigs_F = r.spectra
-    off = max(np.linalg.norm(r.D_minus), np.linalg.norm(r.D_plus_conj))
+    off = max(_frobenius(r.D_minus), _frobenius(r.D_plus_conj))
     return SpectrumSplit(eigs_E=eigs_E, eigs_F=eigs_F, exact=bool(off <= tol))
 
 

@@ -372,52 +372,128 @@ def gram_column_basis(blocks) -> np.ndarray:
 
 
 class BlockwiseReflector:
-    """BlockReflector applied one cell at a time: the rank-one kernel's oracle.
+    """BlockReflector as a dense block diagonal: the rank-one kernel's oracle.
 
-    Every cell's ElementaryUnitary acts on its own rows or columns through
-    its own methods, with the result dtype of the cell coefficients, so it
-    shares no code with the segment-sum kernel.
+    Cell i's block is I + c_i outer(y_i, conj(y_i)), formed from its slice of
+    the stacked vectors and its coefficient, and every product is a dense
+    matrix product, so it shares no code with the segment-sum kernel.
     """
 
     def __init__(self, refl: eq.BlockReflector):
-        self.reflectors = refl.reflectors
-        self.n = refl.n
+        y, c = refl.vectors, refl.coeffs
+        self.H = np.zeros((refl.n, refl.n), dtype=np.result_type(y, c))
         offs = np.concatenate([[0], np.cumsum(refl.sizes)])
-        self.cells = list(zip(self.reflectors, offs, offs[1:]))
-
-    def _copy(self, M):
-        return np.array(M, dtype=np.result_type(M.dtype, *(h.coeff for h in self.reflectors)))
+        for ci, a, b in zip(c, offs, offs[1:]):
+            self.H[a:b, a:b] = np.eye(b - a) + ci * np.outer(y[a:b], y[a:b].conj())
 
     def apply_left(self, M):
-        out = self._copy(M)
-        for h, a, b in self.cells:
-            out[a:b, :] = h.apply_left(out[a:b, :])
-        return out
+        return self.H.conj().T @ M
 
     def apply_right(self, M):
-        out = self._copy(M)
-        for h, a, b in self.cells:
-            out[:, a:b] = h.apply_right(out[:, a:b])
-        return out
+        return M @ self.H
 
     def conjugate(self, A):
         return self.apply_right(self.apply_left(A))
 
     def matvec(self, v):
-        out = self._copy(v)
-        if out.ndim == 2:
-            for j in range(out.shape[1]):
-                out[:, j] = self.matvec(out[:, j])
-            return out
-        for h, a, b in self.cells:
-            out[a:b] = h.matvec(out[a:b])
-        return out
+        return self.H @ v
 
     def dense(self):
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for h, a, b in self.cells:
-            out[a:b, a:b] = h.dense()
-        return out
+        return self.H.copy()
+
+
+# The scalar elementary-unitary builder, one vector at a time, kept verbatim
+# (less its return type): the oracle of the one-pass builder of
+# equitile.reflector. It returns (y, coeff), y None on the identity branch.
+
+_BRANCH_TOL = 1e-14
+
+_PHASE_TOL = 1e-12
+
+
+def _as_vector(x) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 1 or x.size == 0:
+        raise InputError(f"expected a non-empty 1-d vector, got shape {x.shape}")
+    if x.dtype.kind in "iub":
+        x = x.astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise InputError("vector entries must be finite")
+    return x
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest component into [0.5, 1)."""
+    s = max(np.abs(x.real).max(), np.abs(x.imag).max()) if np.iscomplexobj(x) \
+        else np.abs(x).max()
+    if s == 0:
+        return x
+    e = -int(np.frexp(s)[1])
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, e)
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
+
+
+def _check_phase(beta: complex) -> complex:
+    beta = complex(beta)
+    if not np.isfinite(beta) or abs(abs(beta) - 1.0) > _PHASE_TOL:
+        raise InputError(f"phase must have unit modulus, got |beta| = {abs(beta)!r}")
+    return beta
+
+
+def reference_beta0(x) -> complex:
+    """Default phase choice: -conj(x[0])/|x[0]|, or 1 when x[0] = 0."""
+    x = _as_vector(x)
+    x1 = complex(x[0])
+    s = max(abs(x1.real), abs(x1.imag))
+    if s == 0:
+        return 1.0 + 0.0j
+    u = complex(x1.real / s, x1.imag / s)
+    return -u.conjugate() / abs(u)
+
+
+def reference_build_reflector(x, beta=None):
+    """(y, coeff) of the elementary unitary H = I + coeff y y' with H f = (beta/||x||) x."""
+    x = _unit_scaled(_as_vector(x))
+    tail_energy = float(np.real(np.vdot(x[1:], x[1:])))
+    nrm = float(np.sqrt(abs(x[0]) ** 2 + tail_energy))
+    if nrm == 0:
+        raise InputError("cannot build a reflector from the zero vector")
+    if beta is None:
+        beta = reference_beta0(x)
+    beta = _check_phase(beta)
+
+    real_case = x.dtype.kind == "f" and beta.imag == 0.0
+
+    # pivot w = beta*x[0] - ||x||, computed without cancellation when the
+    # two terms nearly agree: the difference then carries only the tail
+    # energy and the imaginary part of beta*x[0]
+    if real_case:
+        b = beta.real
+        z = float(b * x[0])
+        w = -tail_energy / (z + nrm) if z > 0 else z - nrm
+        y0 = x.astype(np.float64)
+        y0[0] = b * w
+        den = nrm * w
+    else:
+        b = beta
+        z = complex(b * x[0])
+        if z.real > 0:
+            w = (2j * z * z.imag - tail_energy) / (z + nrm)
+        else:
+            w = z - nrm
+        y0 = x.astype(np.complex128)
+        y0[0] = np.conj(b) * w
+        den = nrm * np.conj(w)
+
+    if np.abs(y0).max() <= _BRANCH_TOL * nrm:
+        return None, 0.0
+
+    ynrm = np.linalg.norm(y0)
+    return y0 / ynrm, ynrm**2 / den
 
 
 def suitable_indexing_oracle(p: eq.Partition) -> np.ndarray:

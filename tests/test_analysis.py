@@ -81,6 +81,23 @@ class TestDeviationReport:
             (rep.per_block_norms**2).sum(), rel=1e-12
         )
 
+    @pytest.mark.parametrize("s", [2.0**600, 2.0**-600])
+    def test_any_magnitude(self, rng, s):
+        # the report of s*T is s times that of T, exactly for the per-block norms
+        for side in (0, 1):
+            n = 12
+            p = random_partition(rng, n, 5)
+            T = eq.deviation_matrices(random_complex_matrix(rng, n),
+                                      eq.WeightedIndicator(p, random_weights(rng, p)))[side]
+            rep = eq.deviation_report(T)
+            big = eq.deviation_report(eq.DeviationMatrix(T.side, s * T.assembled, p))
+            assert np.array_equal(big.per_block_norms, s * rep.per_block_norms)
+            assert big.nonzero_columns == rep.nonzero_columns
+            for key in ("frobenius", "spectral", "nuclear"):
+                assert getattr(big, key) == pytest.approx(s * getattr(rep, key), rel=1e-12)
+            blocks = np.array([[np.linalg.norm(b) for b in row] for row in T.blocks])
+            assert np.allclose(rep.per_block_norms, blocks, rtol=1e-13, atol=0)
+
     def test_json_shape(self):
         front, _ = eq.deviation_matrices(A0, WI0)
         d = eq.deviation_report(front).to_dict()

@@ -10,7 +10,7 @@ from equitile.cli import main
 from equitile.mmio import load_dense, save_matrix_market
 from equitile.rectangular import assemble_block_diagonal
 
-from helpers import A0, PI0_CELLS, a_hat_expected, random_complex_matrix
+from helpers import A0, PI0_CELLS, a_hat_expected, random_complex_matrix, random_partition
 
 
 @pytest.fixture
@@ -376,6 +376,83 @@ class TestRect:
         assert captured.out == ""
         assert "bad structure object" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+class TestAnyMagnitude:
+    """Reports of s*A equal s times those of A for powers of two s far out of
+    the normal range, where squared residuals would over- or underflow."""
+
+    @staticmethod
+    def _run(capsys, *argv):
+        code = main([str(a) for a in argv])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if out else None
+
+    @staticmethod
+    def _close(a, b, scale):
+        assert np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0) <= 1e-12 * scale
+
+    @pytest.fixture(params=["equitable", "random"])
+    def case(self, request, tmp_path, rng):
+        if request.param == "equitable":
+            A, cells = A0, PI0_CELLS
+        else:
+            A = rng.normal(size=(12, 12))
+            A = A + A.T
+            cells = random_partition(rng, 12, 4).cells
+        pf = tmp_path / "part.json"
+        pf.write_text(json.dumps(eq.Partition.from_cells(cells).to_dict()))
+        return A, pf
+
+    @pytest.mark.parametrize("s", [2.0**600, 2.0**-600])
+    def test_check_scales_exactly(self, capsys, tmp_path, case, s):
+        A, pf = case
+        files = {}
+        for name, M in (("A", A), ("sA", s * A)):
+            files[name] = tmp_path / f"{name}.mtx"
+            save_matrix_market(files[name], M)
+        for side in ("front", "rear"):
+            base = self._run(capsys, "check", files["A"], pf, "--side", side, "--tol",
+                             repr(1e-10), "--epsilon", "--regular")
+            scaled = self._run(capsys, "check", files["sA"], pf, "--side", side, "--tol",
+                               repr(s * 1e-10), "--epsilon", "--regular")
+            assert scaled[0] == base[0] in (0, 3)
+            for key in ("is_equitable", "regular"):
+                assert scaled[1][key] == base[1][key]
+            for key in ("max_residual", "epsilon", "tol"):
+                assert scaled[1][key] == s * base[1][key]  # bit for bit
+
+    @pytest.mark.parametrize("s", [2.0**600, 2.0**-600])
+    def test_transform_and_split_scale(self, capsys, tmp_path, case, s):
+        A, pf = case
+        files = {}
+        for name, M in (("A", A), ("sA", s * A)):
+            files[name] = tmp_path / f"{name}.mtx"
+            save_matrix_market(files[name], M)
+        runs = {}
+        for name, tol in (("A", 1e-10), ("sA", s * 1e-10)):
+            runs[name] = [self._run(capsys, "transform", files[name], pf, "--tol", repr(tol),
+                                    "--out-dir", tmp_path / f"out-{name}"),
+                          self._run(capsys, "split", files[name], pf, "--tol", repr(tol))]
+        (t_code, t), (s_code, sp) = runs["A"]
+        (t_code2, t2), (s_code2, sp2) = runs["sA"]
+        assert t_code == t_code2 == 0 and s_code == s_code2 == 0
+        assert t2["spectrum"]["exact"] == t["spectrum"]["exact"]
+        for name, Q in t["quotients"].items():
+            assert np.array_equal(np.asarray(t2["quotients"][name]), s * np.asarray(Q))
+        scale = s * np.linalg.norm(A)
+        for side in ("front", "rear"):
+            dev, dev2 = t["deviation"][side], t2["deviation"][side]
+            assert np.array_equal(np.asarray(dev2["per_block"]), s * np.asarray(dev["per_block"]))
+            assert dev2["nonzero_columns"] == dev["nonzero_columns"]
+            for key in ("frobenius", "spectral", "nuclear"):
+                self._close(dev2[key], s * dev[key], scale)
+        for key in ("eigs_E", "eigs_F"):
+            self._close(t2["spectrum"][key], s * np.asarray(t["spectrum"][key]), scale)
+            self._close(sp2[key], s * np.asarray(sp[key]), scale)
+        assert sp2["weyl_holds"] == sp["weyl_holds"] is True
+        assert sp2["exact"] == sp["exact"]
+        self._close(sp2["tau_spec"], s * sp["tau_spec"], scale)
 
 
 class TestExitCodes:

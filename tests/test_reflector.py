@@ -1,12 +1,18 @@
+import os
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import equitile as eq
+from equitile import reflector
 from equitile.errors import InputError
 
-from helpers import H2_DENSE, H3_DENSE, eum_dense
+from helpers import H2_DENSE, H3_DENSE, eum_dense, reference_build_reflector
+
+PACKAGE_DIR = os.path.dirname(reflector.__file__)
 
 
 def random_vector(rng, n, complex_entries=True):
@@ -303,3 +309,94 @@ class TestApplication:
             h = eq.build_reflector(random_vector(rng, n), random_phase(rng))
             H = h.dense()
             assert np.abs(H.conj().T @ H - np.eye(n)).max() <= 1e-13
+
+
+@st.composite
+def _stacks(draw):
+    """(x, starts, phases, cells) for 1-30 cells of 1-40 entries, real or
+    complex, each at its own magnitude; some cells are x = ||x|| conj(beta) f
+    (identity branch) or have x[0] = 0. phases is None (auto), signs or
+    complex phases; cells lists each cell's (vector, phase or None)."""
+    complex_w = draw(st.booleans())
+    mode = draw(st.sampled_from(["auto", "sign", "complex"]))
+    cells = []
+    for _ in range(draw(st.integers(1, 30))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 40))
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_w else 0)
+        beta = {"auto": None, "sign": float(rng.choice([-1.0, 1.0])),
+                "complex": np.exp(1j * rng.uniform(0, 2 * np.pi))}[mode]
+        special = draw(st.sampled_from(["plain", "identity", "x0 zero"]))
+        if special == "identity" and beta is not None and (complex_w or mode == "sign"):
+            x[:] = 0
+            x[0] = np.conj(beta) * abs(x[0] + 1.5)
+        elif special == "x0 zero" and n > 1:
+            x[0] = 0
+        cells.append((x * 10.0 ** draw(st.integers(-300, 300)), beta))
+    x = np.concatenate([c for c, _ in cells])
+    starts = np.cumsum([0] + [c.size for c, _ in cells[:-1]])
+    phases = None if mode == "auto" else [b for _, b in cells]
+    return x, starts, phases, cells
+
+
+def _dense(y, c):
+    return np.eye(y.size) + c * np.outer(y, y.conj())
+
+
+class TestOnePassBuilder:
+    """reflector._build on stacks of cells against the scalar builder of one vector."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_matches_scalar_builder_per_cell(self, stack):
+        x, starts, phases, cells = stack
+        y, c, beta = reflector._build(x, starts, phases)
+        real = x.dtype.kind == "f" and all(b is None or np.isrealobj(b) for _, b in cells)
+        assert (y.dtype.kind == "f") == real and (c.dtype.kind == "f") == real
+        ends = np.append(starts[1:], x.size)
+        for i, ((xi, bi), a, b) in enumerate(zip(cells, starts, ends)):
+            y_ref, c_ref = reference_build_reflector(xi, bi)
+            assert (c[i] == 0) == (y_ref is None)
+            if y_ref is None:
+                assert not y[a:b].any()
+                continue
+            assert np.abs(_dense(y[a:b], c[i]) - _dense(y_ref, c_ref)).max() <= 1e-14
+
+    def test_unit_weights_bit_identical(self):
+        # the CLI default: unit weights with default phases, every cell size 1-200
+        sizes = np.arange(1, 201)
+        starts = np.cumsum(sizes) - sizes
+        y, c, _ = reflector._build(np.ones(sizes.sum()), starts)
+        for i, (a, n) in enumerate(zip(starts, sizes)):
+            y_ref, c_ref = reference_build_reflector(np.ones(n))
+            assert np.array_equal(y[a:a + n], y_ref) and c[i] == c_ref
+
+    def test_no_python_loop_over_cells(self):
+        # the builder runs the same lines of the package for 2 cells as for 2000
+        def lines(k):
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                if not frame.f_code.co_filename.startswith(PACKAGE_DIR):
+                    return None
+                count += event == "line"
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                reflector._build(np.arange(1.0, 3 * k + 1), np.arange(0, 3 * k, 3))
+            finally:
+                sys.settrace(None)
+            return count
+
+        assert lines(2) == lines(2000) > 0
+
+    def test_block_refuses_zero_and_non_finite_cells(self):
+        p = eq.Partition.from_cells([[0, 1], [2]])
+        with pytest.raises(InputError):
+            eq.build_block_reflector(eq.WeightedIndicator(p, [1.0, np.inf, 1.0]))
+        with pytest.raises(InputError):
+            reflector._build(np.array([1.0, 2.0, 0.0]), np.array([0, 2]))
+        with pytest.raises(InputError):
+            eq.build_block_reflector(eq.WeightedIndicator(p, np.ones(3)), [1.0, 2.0])

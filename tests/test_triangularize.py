@@ -141,9 +141,12 @@ def _random_sizes(rng, n, k):
 class TestBlockReflector:
     def test_worked_example_blocks(self):
         refl = eq.build_block_reflector(WI_SUIT)
-        assert np.allclose(refl.reflectors[0].dense(), [[-1.0]])
-        assert np.allclose(refl.reflectors[1].dense(), H2_DENSE, atol=1e-15)
-        assert np.allclose(refl.reflectors[2].dense(), H3_DENSE, atol=1e-15)
+        # one block per cell, and nothing outside the blocks
+        expected = np.zeros((6, 6))
+        expected[:1, :1] = -1.0
+        expected[1:3, 1:3] = H2_DENSE
+        expected[3:, 3:] = H3_DENSE
+        assert np.allclose(refl.dense(), expected, atol=1e-15)
 
     def test_singletons_give_negative_identity(self):
         refl = eq.build_block_reflector(
@@ -155,7 +158,9 @@ class TestBlockReflector:
         p = eq.Partition.single_cell(3)
         w = np.array([1.0, 0.0, 0.0])
         refl = eq.build_block_reflector(eq.WeightedIndicator(p, w), phases=[1.0])
-        assert refl.reflectors[0].kind == "identity"
+        assert refl.coeffs[0] == 0
+        assert not refl.vectors.any()
+        assert np.array_equal(refl.dense(), np.eye(3))
 
     def test_phase_count_checked(self):
         with pytest.raises(InputError):
