@@ -34,7 +34,7 @@ from .partition import (
     coarsest_front_equitable_refinement,
     weighted_refinement,
 )
-from .rectangular import block_svd, deviation_rect, rect_transform, split_block_diagonal
+from .rectangular import _deviations, block_svd, rect_transform, split_block_diagonal
 from .triangularize import (
     DeviationMatrix,
     _is_hermitian,
@@ -296,10 +296,9 @@ def cmd_rect(args) -> int:
             f"({sum(m_sizes)}, {sum(n_sizes)})"
         )
 
-    left = block_svd(wm_blocks)
-    right = block_svd(wp_blocks)
+    left, right = block_svd(wm_blocks), block_svd(wp_blocks)  # each side factored once
     result = rect_transform(A, left, right)
-    T_minus, T_plus = deviation_rect(A, wm_blocks, wp_blocks)
+    T_minus, T_plus = _deviations(A, left, right)
 
     files = {
         "E": _emit(args.out_dir, "E", result.E),

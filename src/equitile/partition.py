@@ -178,6 +178,8 @@ class WeightedIndicator:
             )
         if w.dtype.kind in "iub":
             w = w.astype(np.float64)
+        if not np.all(np.isfinite(w)):
+            raise InputError("weights must be finite")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -29,23 +29,16 @@ def padded_identity(n: int, r: int) -> np.ndarray:
     """The n-by-r matrix (I_r; 0): columns are the first r basis vectors."""
     if not 0 < r <= n:
         raise InputError(f"need 0 < r <= n, got r={r}, n={n}")
-    M = np.zeros((n, r))
-    M[:r, :r] = np.eye(r)
-    return M
+    return np.eye(n, r)
 
 
 def block_padded_identity(n_sizes: Sequence[int], r_sizes: Sequence[int]) -> np.ndarray:
     """Block diagonal of padded identities, one per (n_i, r_i) pair."""
     if len(n_sizes) != len(r_sizes):
         raise InputError("size lists must have equal length")
-    n, r = sum(n_sizes), sum(r_sizes)
-    M = np.zeros((n, r))
-    ro = co = 0
-    for ni, ri in zip(n_sizes, r_sizes):
-        M[ro : ro + ni, co : co + ri] = padded_identity(ni, ri)
-        ro += ni
-        co += ri
-    return M
+    if not n_sizes:
+        return np.zeros((0, 0))
+    return assemble_block_diagonal([padded_identity(n, r) for n, r in zip(n_sizes, r_sizes)])
 
 
 def omega_nr_permutation(r_sizes: Sequence[int], n_sizes: Sequence[int]) -> np.ndarray:
@@ -74,15 +67,49 @@ def omega_nr_permutation(r_sizes: Sequence[int], n_sizes: Sequence[int]) -> np.n
     return out
 
 
+def _coerce_matrix(A, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A finite 2-d array, of the given shape if any; integer entries become float64."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise InputError(f"2-d matrix required, got shape {A.shape}")
+    if shape is not None and A.shape != shape:
+        raise InputError(f"matrix shape {A.shape} does not match the sides {shape}")
+    if A.dtype.kind in "iub":
+        A = A.astype(np.float64)
+    if not np.all(np.isfinite(A)):
+        raise InputError("matrix entries must be finite")
+    return A
+
+
 def _coerce_block(W) -> np.ndarray:
-    W = np.asarray(W)
-    if W.ndim != 2 or 0 in W.shape:
-        raise InputError(f"blocks must be non-empty 2-d arrays, got shape {W.shape}")
-    if W.shape[1] > W.shape[0]:
-        raise InputError(f"blocks must not be wide: got shape {W.shape}")
-    if W.dtype.kind in "iub":
-        W = W.astype(np.float64)
+    W = _coerce_matrix(W)
+    if 0 in W.shape or W.shape[1] > W.shape[0]:
+        raise InputError(f"blocks must be non-empty and not wide, got shape {W.shape}")
     return W
+
+
+def _blockwise(blocks: Sequence[np.ndarray], X: np.ndarray, out: np.ndarray | None = None,
+               *, right: bool = False, adjoint: bool = False) -> np.ndarray:
+    """blockdiag(B) X, or X blockdiag(B) with right=True, with B_i' for B_i if adjoint.
+
+    One product per block, written to its own slice of out (a new array by
+    default); out may be X when every block is square.
+    """
+    if adjoint:
+        blocks = [b.conj().T for b in blocks]
+    if out is None:
+        inner = sum(b.shape[right] for b in blocks)
+        shape = (X.shape[0], inner) if right else (inner, X.shape[1])
+        out = np.empty(shape, dtype=np.result_type(X.dtype, *{b.dtype for b in blocks}))
+    i = o = 0
+    for b in blocks:
+        read, write = b.shape if right else b.shape[::-1]  # extents in X and in out
+        if right:
+            out[:, o : o + write] = X[:, i : i + read] @ b
+        else:
+            out[o : o + write, :] = b @ X[i : i + read, :]
+        i, o = i + read, o + write
+    return out
 
 
 def assemble_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -163,10 +190,11 @@ class BlockSVD:
 
     def column_basis(self) -> np.ndarray:
         """The m-by-q isometry W (W'W)^{-1/2} assembled from the factors."""
-        parts = []
-        for u, v, qi in zip(self.u_blocks, self.v_blocks, self.q_sizes):
-            parts.append(u[:, :qi] @ v.conj().T)
-        return assemble_block_diagonal(parts)
+        return assemble_block_diagonal(self._basis_blocks())
+
+    def _basis_blocks(self) -> list[np.ndarray]:
+        """The blocks U_i[:, :q_i] V_i' of column_basis, one per side block."""
+        return [u[:, : v.shape[0]] @ v.conj().T for u, v in zip(self.u_blocks, self.v_blocks)]
 
 
 def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> BlockSVD:
@@ -189,33 +217,27 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
         us.append(u)
         sigmas.append(s)
         vs.append(v)
-    q_sizes = [v.shape[0] for v in vs]
-    m_sizes = [u.shape[0] for u in us]
     return BlockSVD(
         u_blocks=tuple(us),
         sigma_blocks=tuple(sigmas),
         v_blocks=tuple(vs),
-        omega=omega_nr_permutation(q_sizes, m_sizes),
+        omega=omega_nr_permutation([v.shape[0] for v in vs], [u.shape[0] for u in us]),
     )
 
 
-def _column_bases(A, wm_blocks, wp_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A checked against the side block grids, and both sides' column bases.
+def _factored(A, wm_blocks, wp_blocks) -> tuple[np.ndarray, BlockSVD, BlockSVD]:
+    """A, checked against the side block rows before any block is factored, and both factors."""
+    m, n = (sum(np.asarray(W).shape[0] for W in side) for side in (wm_blocks, wp_blocks))
+    return _coerce_matrix(A, (m, n)), block_svd(wm_blocks), block_svd(wp_blocks)
 
-    The column basis of a side is the isometry W (W'W)^{-1/2} of
-    BlockSVD.column_basis, so blocks without full column rank are rejected
-    at RANK_RTOL, as block_svd rejects them.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InputError(f"2-d matrix required, got shape {A.shape}")
-    m = sum(np.asarray(W).shape[0] for W in wm_blocks)
-    n = sum(np.asarray(W).shape[0] for W in wp_blocks)
-    if A.shape != (m, n):
-        raise InputError(
-            f"matrix shape {A.shape} does not match side block rows ({m}, {n})"
-        )
-    return A, block_svd(wm_blocks).column_basis(), block_svd(wp_blocks).column_basis()
+
+def _deviations(A: np.ndarray, left: BlockSVD, right: BlockSVD) -> tuple[np.ndarray, np.ndarray]:
+    """T_minus and T_plus of a checked A, from the per-block bases of the sides' factors."""
+    Km, Kp = left._basis_blocks(), right._basis_blocks()
+    AKp = _blockwise(Kp, A, right=True)
+    E0 = _blockwise(Km, AKp, adjoint=True)
+    return (AKp - _blockwise(Km, E0),
+            _blockwise(Km, A.conj().T, right=True) - _blockwise(Kp, E0.conj().T))
 
 
 def rayleigh_quotient_rect(A, wm_blocks: Sequence[np.ndarray],
@@ -225,8 +247,9 @@ def rayleigh_quotient_rect(A, wm_blocks: Sequence[np.ndarray],
     The side bases come from per-block SVDs, so they stay small problems.
     The result does not depend on which per-block SVDs one would pick.
     """
-    A, Km, Kp = _column_bases(A, wm_blocks, wp_blocks)
-    return Km.conj().T @ A @ Kp
+    A, left, right = _factored(A, wm_blocks, wp_blocks)
+    AKp = _blockwise(right._basis_blocks(), A, right=True)
+    return _blockwise(left._basis_blocks(), AKp, adjoint=True)
 
 
 def deviation_rect(A, wm_blocks: Sequence[np.ndarray],
@@ -237,11 +260,7 @@ def deviation_rect(A, wm_blocks: Sequence[np.ndarray],
     per-side column-basis isometry W (W'W)^{-1/2}. Both are invariant under
     the choice of block SVD factors.
     """
-    A, Km, Kp = _column_bases(A, wm_blocks, wp_blocks)
-    E0 = Km.conj().T @ A @ Kp
-    T_minus = A @ Kp - Km @ E0
-    T_plus = A.conj().T @ Km - Kp @ E0.conj().T
-    return T_minus, T_plus
+    return _deviations(*_factored(A, wm_blocks, wp_blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +307,8 @@ class RectResult(_BlockForm):
 
     def rayleigh_quotient(self) -> np.ndarray:
         """E0 = V_left E V_right', recovered from the stored factors."""
-        return self.left.v_dense() @ self.E @ self.right.v_dense().conj().T
+        VE = _blockwise(self.left.v_blocks, self.E)
+        return _blockwise(self.right.v_blocks, VE, right=True, adjoint=True)
 
 
 def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
@@ -297,28 +317,9 @@ def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
     Preserves the singular values of A; the spectrum is generally not
     preserved since the two sides are independent.
     """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InputError(f"2-d matrix required, got shape {A.shape}")
-    if A.dtype.kind in "iub":
-        A = A.astype(np.float64)
-    if A.shape != (left.m, right.m):
-        raise InputError(
-            f"matrix shape {A.shape} does not match factors ({left.m}, {right.m})"
-        )
-    out_dtype = np.result_type(
-        A.dtype,
-        *(u.dtype for u in left.u_blocks),
-        *(u.dtype for u in right.u_blocks),
-    )
-    M = A.astype(out_dtype)
-    ro = 0
-    for u in left.u_blocks:
-        M[ro : ro + u.shape[0], :] = u.conj().T @ M[ro : ro + u.shape[0], :]
-        ro += u.shape[0]
-    co = 0
-    for u in right.u_blocks:
-        M[:, co : co + u.shape[0]] = M[:, co : co + u.shape[0]] @ u
-        co += u.shape[0]
+    A = _coerce_matrix(A, (left.m, right.m))
+    M = A.astype(np.result_type(A.dtype, *(u.dtype for u in left.u_blocks + right.u_blocks)))
+    _blockwise(left.u_blocks, M, M, adjoint=True)
+    _blockwise(right.u_blocks, M, M, right=True)
     return RectResult(*_gather_blocks(M, left.omega, right.omega, left.q, right.q),
                       left=left, right=right)

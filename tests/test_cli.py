@@ -359,6 +359,42 @@ class TestRect:
         )
         assert code == 3
 
+    def test_each_side_block_factored_once(self, capsys, tmp_path, rng, monkeypatch):
+        *_, paths = self._write_inputs(tmp_path, rng, [3, 4, 2], [1, 2, 2], [2, 3], [1, 2])
+        svd, factored = np.linalg.svd, []
+
+        def counting_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+            if full_matrices and compute_uv:
+                factored.append(np.shape(a))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code, _ = run_cli(
+            capsys, "rect", paths["A"], paths["structure"], paths["wm"], paths["wp"],
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert factored == [(3, 1), (4, 2), (2, 2), (2, 1), (3, 2)]
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_matrix_shape_must_match_structure(self, capsys, tmp_path, rng, rank_deficient):
+        # the shape check comes first: exit 2 even when a side would exit 3
+        _, left, _, paths = self._write_inputs(
+            tmp_path, rng, [3, 3], [2, 1], [4, 2], [2, 1]
+        )
+        save_matrix_market(paths["A"], random_complex_matrix(rng, 6, 5))
+        if rank_deficient:
+            Wm = assemble_block_diagonal(left)
+            Wm[:, 0] = 0.0
+            save_matrix_market(paths["wm"], Wm)
+        code = main(["rect", paths["A"], paths["structure"], paths["wm"], paths["wp"],
+                     "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "does not match structure" in captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("side, key, sizes", [
         ("left", "m_sizes", [3.9, 4]),
         ("left", "q_sizes", [True, 2]),

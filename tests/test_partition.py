@@ -177,6 +177,15 @@ class TestAdmissibility:
         wi = eq.WeightedIndicator(p, np.array([1.0, 0.0]))
         assert eq.is_admissible(wi)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    def test_non_finite_weights_refused(self, bad):
+        # refused when the indicator is built, before any verdict or quotient
+        p = eq.Partition.from_cells([[0, 1], [2]])
+        with pytest.raises(InputError):
+            eq.check_equitable(np.ones((3, 3)), eq.WeightedIndicator(p, [1.0, bad, 1.0]))
+        with pytest.raises(InputError):
+            eq.generalized_quotient(np.ones((3, 3)), eq.WeightedIndicator(p, [1.0, bad, 1.0]))
+
     def test_indicator_matrix_structure(self, rng):
         p = random_partition(rng, 8)
         w = random_weights(rng, p)

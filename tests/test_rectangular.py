@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import equitile as eq
+from equitile import rectangular
 from equitile.errors import InputError, RankDeficiencyError
 from equitile.rectangular import assemble_block_diagonal, split_block_diagonal
 
@@ -122,6 +123,11 @@ class TestBlockSVD:
         with pytest.raises(InputError):
             eq.block_svd([np.ones((1, 2))])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
+    def test_non_finite_block_rejected(self, bad):
+        with pytest.raises(InputError):
+            eq.block_svd([np.ones((2, 1)), np.array([[1.0], [bad]])])
+
 
 class TestRayleighQuotientRect:
     def test_square_rank_one_reduction(self, rng):
@@ -166,12 +172,27 @@ class TestRayleighQuotientRect:
             eq.rayleigh_quotient_rect(np.zeros((1, 1)), left, right)
 
 
+def _gram_oracle_sides(rng, complex_entries):
+    """(left, right) block lists: random ones, then the edge shapes.
+
+    The edges are full blocks (q_i = m_i, so the tail is empty), 1x1
+    blocks, and one 200x1 block per side.
+    """
+    def block(m, q):
+        return random_complex_matrix(rng, m, q) if complex_entries else rng.normal(size=(m, q))
+
+    for _ in range(10):
+        yield (random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries),
+               random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries))
+    yield [block(m, m) for m in (1, 3, 2)], [block(m, m) for m in (2, 4)]
+    yield [block(1, 1) for _ in range(4)], [block(1, 1) for _ in range(3)]
+    yield [block(200, 1)], [block(200, 1)]
+
+
 class TestGramOracle:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_quotient_and_deviations_match_gram_roots(self, rng, complex_entries):
-        for _ in range(10):
-            left = random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries)
-            right = random_blocks(rng, int(rng.integers(1, 4)), complex_entries=complex_entries)
+        for left, right in _gram_oracle_sides(rng, complex_entries):
             Km, Kp = gram_column_basis(left), gram_column_basis(right)
             A = random_complex_matrix(rng, Km.shape[0], Kp.shape[0])
             if not complex_entries:
@@ -359,6 +380,53 @@ class TestRectTransform:
         right = eq.block_svd(random_blocks(rng, 2))
         with pytest.raises(InputError):
             eq.rect_transform(np.zeros((left.m + 1, right.m)), left, right)
+
+
+class TestInputChecks:
+    """A malformed A is refused with InputError before any block is factored."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_matrix_refused(self, rng, bad):
+        left_blocks, right_blocks = random_blocks(rng, 2), random_blocks(rng, 2)
+        left, right = eq.block_svd(left_blocks), eq.block_svd(right_blocks)
+        A = random_complex_matrix(rng, left.m, right.m)
+        A[0, -1] = bad
+        with pytest.raises(InputError):
+            eq.rect_transform(A, left, right)
+        with pytest.raises(InputError):
+            eq.deviation_rect(A, left_blocks, right_blocks)
+        with pytest.raises(InputError):
+            eq.rayleigh_quotient_rect(A, left_blocks, right_blocks)
+
+    def test_matrix_checked_before_blocks(self, rng):
+        rank_deficient = [np.array([[1.0, 2.0], [2.0, 4.0]])]
+        for A in (np.zeros((3, 2)), np.full((2, 2), np.nan), np.zeros(4)):
+            for f in (eq.deviation_rect, eq.rayleigh_quotient_rect):
+                with pytest.raises(InputError):
+                    f(A, rank_deficient, rank_deficient)
+
+
+class TestPerBlockProducts:
+    """No library path assembles a block diagonal side matrix."""
+
+    def test_no_dense_side_factor(self, rng, monkeypatch):
+        left_blocks, right_blocks = random_blocks(rng, 3), random_blocks(rng, 2)
+        left, right = eq.block_svd(left_blocks), eq.block_svd(right_blocks)
+        A = random_complex_matrix(rng, left.m, right.m)
+        Km, Kp = gram_column_basis(left_blocks), gram_column_basis(right_blocks)
+        E0 = Km.conj().T @ A @ Kp
+
+        def refuse(blocks):
+            raise AssertionError("assembled a dense block diagonal")
+
+        monkeypatch.setattr(rectangular, "assemble_block_diagonal", refuse)
+        res = eq.rect_transform(A, left, right)
+        Tm, Tp = eq.deviation_rect(A, left_blocks, right_blocks)
+        tol = 1e-11 * max(1, np.abs(A).max())
+        assert np.abs(eq.rayleigh_quotient_rect(A, left_blocks, right_blocks) - E0).max() <= tol
+        assert np.abs(res.rayleigh_quotient() - E0).max() <= tol
+        assert np.abs(Tm - (A @ Kp - Km @ E0)).max() <= tol
+        assert np.abs(Tp - (A.conj().T @ Km - Kp @ E0.conj().T)).max() <= tol
 
 
 class TestSplitBlockDiagonal:
