@@ -8,13 +8,20 @@ into over every round after the first against the N*log2(N) bound of the
 "process the smaller half" rule. The sums are counted by wrapping the
 aggregate kernel during one extra, untimed run.
 
+With --labels N it instead times Partition.from_labels on a random
+permutation of 0..N-1 halved (N/2 cells of two), best of --repeats, and
+prints the peak that tracemalloc traces during one extra run, in int64s
+per index.
+
     PYTHONPATH=src python scripts/refine_scaling.py
     PYTHONPATH=src python scripts/refine_scaling.py --sizes 1000 --repeats 5
+    PYTHONPATH=src python scripts/refine_scaling.py --labels 1000000
 """
 from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -55,13 +62,32 @@ def summed_per_round(A: np.ndarray) -> list[int]:
     return calls
 
 
+def time_from_labels(n: int, repeats: int, rng) -> None:
+    labels = rng.permutation(n) // 2
+    best = np.inf
+    for _ in range(repeats):
+        t = time.perf_counter()
+        p = eq.Partition.from_labels(labels)
+        best = min(best, time.perf_counter() - t)
+    tracemalloc.start()
+    eq.Partition.from_labels(labels)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"from_labels N={n} cells={p.k} time_s={best:.4f} "
+          f"peak_int64_per_index={peak / (8 * n):.1f}")
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--labels", type=int, metavar="N",
+                    help="time Partition.from_labels on N labels instead")
     args = ap.parse_args(argv)
     rng = np.random.default_rng(args.seed)
+    if args.labels:
+        return time_from_labels(args.labels, args.repeats, rng)
     print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'cells':>5} "
           f"{'summed':>7} {'N*log2N':>8}")
     for n in args.sizes:

@@ -71,10 +71,16 @@ def _default_tol() -> float:
 
 
 def _digest(path) -> str:
+    # in 1 MiB chunks: reading a whole input at report time would add its
+    # size to the peak memory of the run
+    digest = hashlib.sha256()
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def _load_json(path):

@@ -2,9 +2,13 @@
 
 A partition is an ordered sequence of disjoint cells covering {0..N-1}.
 Cell order is significant (it fixes the block layout of every downstream
-transform); indices inside a cell are kept sorted. A weighted indicator
-attaches a complex weight to every index; the induced N-by-k matrix W has
-w[v] in column i exactly when v belongs to cell i.
+transform); indices inside a cell are kept sorted. A Partition is stored
+as its block-contiguous layout, built once in O(N log N): read-only int
+arrays order (the members of each cell, ascending, cell after cell) and
+starts (where each cell begins); its cells, as tuples, are derived on
+demand. A weighted indicator attaches a complex weight to every index;
+the induced N-by-k matrix W has w[v] in column i exactly when v belongs
+to cell i.
 
 Equitability of a matrix A with respect to W means A W = W E (front, i.e.
 constant weighted block row aggregates) or W' A = E W' (rear). Deviation
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,88 +59,120 @@ def _square(A, n: int | None = None) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
 class Partition:
     """Ordered disjoint cells covering {0..N-1}; indices sorted within cells.
 
     Entries must be integers by the rule of _index: Python or numpy integers,
-    or objects with __index__; floats and bools are refused.
+    or objects with __index__; floats and bools are refused. Stored as its
+    _Layout, built in O(N log N): every method reads the arrays order and
+    starts, cells (tuples of Python ints) is built on demand, and equality
+    and hashing compare the arrays.
     """
 
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ("_lay",)
 
-    def __post_init__(self):
-        cells = [c.tolist() if isinstance(c, np.ndarray) else tuple(c) for c in self.cells]
-        sizes = [len(c) for c in cells]
-        if not cells or not all(sizes):
+    def __init__(self, cells: Iterable[Iterable[int]]):
+        cells = [c.tolist() if isinstance(c, np.ndarray) else tuple(c) for c in cells]
+        sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        if not cells or not sizes.all():
             raise InputError("cells must be non-empty")
-        entries = list(chain.from_iterable(cells))
-        try:  # _index's rule, applied to one entry of each type
-            for v in dict(zip(map(type, entries), entries)).values():
-                _index(v)
-        except TypeError as exc:
-            raise InputError(f"cell entries must be integers: {exc}") from None
-        n = len(entries)
         try:
-            flat = np.fromiter(entries, dtype=np.int64, count=n)
+            flat = _int64(list(chain.from_iterable(cells)), "cell entries")
         except OverflowError:  # beyond int64, so outside 0..N-1
             raise InputError("cells must disjointly cover 0..N-1") from None
+        n = flat.size
         # n entries in 0..n-1 that hit every index hit each once
         if not (flat.min() >= 0 and flat.max() < n and np.bincount(flat, minlength=n).all()):
             raise InputError("cells must disjointly cover 0..N-1")
-        members, ends = flat.tolist(), list(accumulate(sizes))
-        object.__setattr__(self, "cells", tuple(
-            tuple(sorted(members[a:b])) for a, b in zip([0, *ends], ends)))
+        labels = np.repeat(np.arange(sizes.size), sizes)
+        self._lay = Partition._of(flat[np.lexsort((flat, labels))], np.cumsum(sizes) - sizes)._lay
+
+    @classmethod
+    def _of(cls, order: np.ndarray, starts: np.ndarray) -> "Partition":
+        """The partition of a layout, members ascending within cells: trusted, not copied."""
+        p = object.__new__(cls)
+        sizes = np.diff(starts, append=order.size)
+        p._lay = _Layout(order, starts, np.repeat(np.arange(starts.size), sizes))
+        for a in p._lay:
+            a.setflags(write=False)
+        return p
+
+    def __reduce__(self):
+        return Partition._of, (self.order, self.starts)
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and np.array_equal(self.starts, other.starts) \
+            and np.array_equal(self.order, other.order)
+
+    def __hash__(self):
+        return hash((self.order.tobytes(), self.starts.tobytes()))
+
+    def __repr__(self):
+        return f"Partition(cells={self.cells!r})"
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(tuple(c) for c in cells))
+        return cls(cells)
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        """Cells grouped by label value, ordered by smallest member."""
-        groups: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(int(lab), []).append(v)
-        return cls(tuple(tuple(c) for c in sorted(groups.values())))
+        """Cells grouped by label value, ordered by smallest member: one stable
+        argsort. Labels follow the rule of _index and must fit in int64."""
+        lab = labels
+        if not (isinstance(lab, np.ndarray) and lab.dtype.kind in "iu"):
+            try:
+                lab = _int64(list(lab), "labels")
+            except OverflowError as exc:
+                raise InputError(f"labels must be integers within int64: {exc}") from None
+        if lab.ndim != 1 or not lab.size:
+            raise InputError(f"labels must be a non-empty vector, got shape {lab.shape}")
+        order = np.argsort(lab, kind="stable")
+        starts = np.r_[0, np.flatnonzero(np.diff(lab[order])) + 1]
+        return cls._of(order, starts).canonical()
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(n)))
+        return cls.from_labels(np.arange(n))
 
     @classmethod
     def single_cell(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),))
+        return cls.from_labels(np.zeros(n, dtype=np.intp))
 
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-    @property
-    def k(self) -> int:
-        return len(self.cells)
+    order = property(lambda self: self._lay.order)
+    starts = property(lambda self: self._lay.starts)
+    n = property(lambda self: self.order.size)
+    k = property(lambda self: self.starts.size)
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
+        return tuple(np.diff(self.starts, append=self.n).tolist())
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        members, bounds = self.order.tolist(), [*self.starts.tolist(), self.n]
+        return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def canonical(self) -> "Partition":
         """Same cells, reordered so cells appear by their smallest element."""
-        return Partition(tuple(sorted(self.cells)))
+        rank = np.argsort(self.order[self.starts])
+        sizes = np.diff(self.starts, append=self.n)[rank]
+        starts = np.cumsum(sizes) - sizes
+        shift = np.repeat(self.starts[rank] - starts, sizes)
+        return Partition._of(self.order[shift + np.arange(self.n)], starts)
 
     def labels(self) -> np.ndarray:
         """Array mapping each index to its cell number."""
-        lay = _layout(self)
         lab = np.empty(self.n, dtype=int)
-        lab[lay.order] = lay.labels
+        lab[self.order] = self._lay.labels
         return lab
 
     def refines(self, other: "Partition") -> bool:
         """True if every cell of self lies inside a cell of other."""
         if self.n != other.n:
             return False
-        lab = other.labels()
-        return all(len({lab[v] for v in c}) == 1 for c in self.cells)
+        lab = other.labels()[self.order]
+        return np.array_equal(np.maximum.reduceat(lab, self.starts),
+                              np.minimum.reduceat(lab, self.starts))
 
     def to_dict(self) -> dict:
         """JSON form with 1-based indices."""
@@ -161,6 +197,17 @@ def _index(v) -> int:
     if isinstance(v, (bool, np.bool_)):
         raise TypeError(f"{v!r} is not an index")
     return operator.index(v)
+
+
+def _int64(values: list, what: str) -> np.ndarray:
+    """values as int64, each an integer by the rule of _index (applied to one
+    entry of each type); OverflowError beyond int64."""
+    try:
+        for v in dict(zip(map(type, values), values)).values():
+            _index(v)
+    except TypeError as exc:
+        raise InputError(f"{what} must be integers: {exc}") from None
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,14 +237,11 @@ class WeightedIndicator:
 
     def cell_norms2(self) -> np.ndarray:
         """Exact squared norms per cell (integer-valued for unit weights)."""
-        lay = _layout(self.partition)
-        return np.add.reduceat(_abs2(self.weights[lay.order]), lay.starts)
+        p = self.partition
+        return np.add.reduceat(_abs2(self.weights[p.order]), p.starts)
 
     def cell_norms(self) -> np.ndarray:
         return np.sqrt(self.cell_norms2())
-
-    def cell_weights(self, i: int) -> np.ndarray:
-        return self.weights[list(self.partition.cells[i])]
 
     def matrix(self) -> np.ndarray:
         """Dense N-by-k weighted indicator."""
@@ -213,8 +257,8 @@ def is_admissible(wi: WeightedIndicator) -> bool:
 
 
 def require_admissible(wi: WeightedIndicator) -> None:
-    if not is_admissible(wi):
-        bad = [i for i, nrm in enumerate(wi.cell_norms()) if nrm == 0]
+    bad = np.flatnonzero(wi.cell_norms2() == 0).tolist()
+    if bad:
         raise AdmissibilityError(f"cells {bad} have zero-norm weight blocks")
 
 
@@ -234,16 +278,12 @@ def suitable_indexing_permutation(p: Partition) -> np.ndarray:
     fill the free slots in ascending order. Relabeling A as A[inv, inv]
     with inv = argsort(sigma) yields the block-contiguous layout.
     """
-    order, starts, labels = _layout(p)
-    ends = np.append(starts[1:], p.n)
-    keep = (order >= starts[labels]) & (order < ends[labels])
-    taken = np.zeros(p.n, dtype=bool)
-    taken[order[keep]] = True
-    perm = np.empty(p.n, dtype=int)
-    perm[order[keep]] = order[keep]
-    # movers in layout order fill the free slots, which are ascending and
-    # grouped by the cell whose range holds them
-    perm[order[~keep]] = np.flatnonzero(~taken)
+    # index v stays when its cell's range holds it; the others, in layout
+    # order, fill the free slots, which are ascending and grouped by the cell
+    # whose range holds them
+    stay = p.labels() == p._lay.labels
+    perm = np.arange(p.n)
+    perm[p.order[~stay[p.order]]] = np.flatnonzero(~stay)
     perm.setflags(write=False)
     return perm
 
@@ -262,11 +302,8 @@ class _Layout(NamedTuple):
 
 
 def _layout(p: Partition) -> _Layout:
-    sizes = np.fromiter(map(len, p.cells), dtype=np.intp, count=p.k)
-    order = np.fromiter(chain.from_iterable(p.cells), dtype=np.intp, count=p.n)
-    starts = np.zeros(p.k, dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return _Layout(order, starts, np.repeat(np.arange(p.k), sizes))
+    """The layout p is stored as, members ascending within cells."""
+    return p._lay
 
 
 def _abs2(X: np.ndarray) -> np.ndarray:
@@ -406,7 +443,7 @@ class _Sums:
         self.keep = keep
         self.A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
         self.wl = self.w[self.lay.order]
-        self.norms2 = np.add.reduceat(_abs2(self.wl), self.lay.starts)
+        self.norms2 = wi.cell_norms2()
         if not np.all(self.norms2 > 0):
             require_admissible(wi)
         self._unit = self.w.dtype == np.float64 and bool(np.all(self.w == 1))
@@ -654,7 +691,8 @@ def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,
         srt, new = _color_groups(R, lay.labels, color_tol)
         del R  # not held while the next round's signatures are summed
         if np.count_nonzero(new) == lay.starts.size:
-            return Partition(tuple(np.split(lay.order, lay.starts[1:]))).canonical()
+            order = lay.order[np.lexsort((lay.order, lay.labels))]
+            return Partition._of(order, lay.starts).canonical()
         parent = lay.labels[srt[new]]
         lay = _Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
         if color_tol == 0:

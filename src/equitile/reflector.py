@@ -22,14 +22,13 @@ build_reflector and ElementaryUnitary are the one-cell case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import opcount
 from .errors import InputError
-from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _Layout, _layout,
-                        _pow2_scale, _square)
+from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _layout, _pow2_scale,
+                        _square)
 
 #: elementwise tolerance (relative to ||x||) for the identity branch,
 #: where the rank-one denominator vanishes exactly
@@ -178,14 +177,10 @@ class BlockReflector:
     def n(self) -> int:
         return self.partition.n
 
-    @cached_property
-    def _lay(self) -> _Layout:
-        return _layout(self.partition)
-
     def _rank_one(self, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         """X += Y diag(c) Y' X in place for an N-by-m X, in column blocks of
         _BLOCK_ENTRIES entries so the temporaries are of the block size."""
-        lay = self._lay
+        lay = _layout(self.partition)
         yc = (c[lay.labels] * y)[:, None]
         step = max(1, _BLOCK_ENTRIES // self.n)
         for a in range(0, X.shape[1], step):

@@ -75,11 +75,11 @@ class DeviationMatrix:
     @cached_property
     def blocks(self) -> tuple[Sequence[np.ndarray], ...]:
         """blocks[i][j] is the deviation vector of block (i, j), built on demand."""
-        T = self.assembled
-        if self.side == "front":
-            return tuple(T[list(c)].T for c in self.partition.cells)
         lay = _layout(self.partition)
-        return tuple(np.split(T[lay.order, i], lay.starts[1:]) for i in range(T.shape[1]))
+        T = self.assembled[lay.order]
+        if self.side == "front":
+            return tuple(X.T for X in np.split(T, lay.starts[1:]))
+        return tuple(np.split(col, lay.starts[1:]) for col in T.T)
 
 
 def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, DeviationMatrix]:
@@ -194,7 +194,7 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
 
     perm = suitable_indexing_permutation(p)
     inv = np.argsort(perm)
-    contiguous = Partition(tuple(np.split(np.arange(p.n), np.cumsum(sizes)[:-1])))
+    contiguous = Partition._of(np.arange(p.n), p.starts)
     refl = build_block_reflector(WeightedIndicator(contiguous, wi.weights[inv]), phases)
 
     # the one N-by-N working array: the relabelled copy, conjugated in place
@@ -224,7 +224,11 @@ def recover_eigenvector(r: TriangularizationResult, z_hat) -> np.ndarray:
 def _is_hermitian(M: np.ndarray, rtol: float) -> bool:
     """max|M - M'| <= rtol * max(1, max|M|); a NaN entry makes it False."""
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    return bool(np.abs(M - M.conj().T).max(initial=0.0) <= rtol * scale)
+    # M - M' here and (M + M')/2 in _eigvals are each formed in one array of
+    # the size of M: these temporaries set the peak memory of spectrum_split
+    D = np.conj(M.T)
+    np.subtract(M, D, out=D)
+    return bool(np.abs(D).max(initial=0.0) <= rtol * scale)
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:
@@ -240,7 +244,10 @@ def _eigvals(M: np.ndarray, pair=None) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     try:
         if _is_hermitian(M, EIG_HERMITIAN_RTOL):
-            return np.linalg.eigvalsh((M + M.conj().T) / 2.0).astype(complex)
+            H = np.conj(M.T)
+            H += M
+            H /= 2.0
+            return np.linalg.eigvalsh(H).astype(complex)
         return np.linalg.eigvals(M) if pair is None else pair[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc

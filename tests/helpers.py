@@ -7,6 +7,7 @@ spectrum and norm preservation, which any unitary similarity must obey.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,56 @@ def suitable_indexing_oracle(p: eq.Partition) -> np.ndarray:
             perm[v] = s
         off += len(c)
     return perm
+
+
+# The tuple-backed partition, as equitile.partition.Partition was before it
+# was stored as its layout arrays: the oracle of the array-backed one, which
+# must agree with it on every method. Its from_labels keeps int(label), so
+# it serves integer labels only.
+
+@dataclass(frozen=True)
+class TuplePartition:
+    cells: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        cells = tuple(tuple(sorted(int(v) for v in c)) for c in self.cells)
+        flat = sorted(v for c in cells for v in c)
+        if not cells or not all(cells) or flat != list(range(len(flat))):
+            raise InputError("cells must disjointly cover 0..N-1")
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def from_labels(cls, labels) -> "TuplePartition":
+        groups: dict[int, list[int]] = {}
+        for v, lab in enumerate(labels):
+            groups.setdefault(int(lab), []).append(v)
+        return cls(tuple(tuple(c) for c in sorted(groups.values())))
+
+    @property
+    def n(self) -> int:
+        return sum(len(c) for c in self.cells)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(c) for c in self.cells)
+
+    def canonical(self) -> "TuplePartition":
+        return TuplePartition(tuple(sorted(self.cells)))
+
+    def labels(self) -> np.ndarray:
+        lab = np.empty(self.n, dtype=int)
+        for i, c in enumerate(self.cells):
+            lab[list(c)] = i
+        return lab
+
+    def refines(self, other: "TuplePartition") -> bool:
+        if self.n != other.n:
+            return False
+        lab = other.labels()
+        return all(len({lab[v] for v in c}) == 1 for c in self.cells)
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "cells": [[v + 1 for v in c] for c in self.cells]}
 
 
 # The per-entry Matrix Market codec, one Python parse or format per entry:

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     P0_FORWARD,
     PI0_CELLS,
     EMINUS,
+    TuplePartition,
     all_partitions,
     full_signature_refinement,
     random_partition,
@@ -46,6 +48,21 @@ class TestPartition:
     def test_non_integer_entries_refused(self, cells):
         with pytest.raises(InputError, match="integers"):
             eq.Partition.from_cells(cells)
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 0.7, 1],
+        [True, False, 1],
+        [0, 1.0],
+        [np.float64(0), 1],
+        [np.True_, 1],
+        np.array([0.0, 1.0]),
+        np.array([True, False]),
+        ["0", 1],
+    ])
+    def test_non_integer_labels_refused(self, labels):
+        # int(0.5) == int(0.7) would merge two distinct labels into one cell
+        with pytest.raises(InputError, match="integers"):
+            eq.Partition.from_labels(labels)
 
     def test_entries_beyond_int64_refused(self):
         with pytest.raises(InputError, match="cover"):
@@ -98,6 +115,64 @@ class TestPartition:
         assert sorted(v for c in p.cells for v in c) == list(range(len(labels)))
         # canonical by construction: cells ordered by smallest element
         assert p == p.canonical()
+
+
+_labels = st.lists(st.integers(-3, 6) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                   min_size=1, max_size=16)
+
+
+class TestArrayBacked:
+    """The array-backed Partition against the tuple-backed oracle."""
+
+    @given(_labels, st.data())
+    def test_matches_tuple_partition(self, labels, data):
+        p, o = eq.Partition.from_labels(labels), TuplePartition.from_labels(labels)
+        assert p.cells == o.cells
+        # the same cells in a random order: neither canonical nor contiguous
+        perm = data.draw(st.permutations(range(p.k)))
+        q = eq.Partition.from_cells([p.cells[i] for i in perm])
+        oq = TuplePartition(tuple(o.cells[i] for i in perm))
+        assert q.cells == oq.cells
+        assert {type(v) for c in q.cells for v in c} == {int}
+        assert (q.n, q.k, q.sizes) == (oq.n, len(oq.cells), oq.sizes)
+        assert q.canonical().cells == oq.canonical().cells
+        assert np.array_equal(q.labels(), oq.labels())
+        assert q.to_dict() == oq.to_dict()
+        assert eq.Partition.from_dict(q.to_dict()) == q
+        assert (q == p) == (oq == o)
+        assert q.canonical() == p and hash(q.canonical()) == hash(p)
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and hash(back) == hash(q) and back.cells == q.cells
+        assert not back.order.flags.writeable and not back.starts.flags.writeable
+        # a coarsening, which q refines, and an unrelated partition
+        for other in ([v // 2 for v in labels], data.draw(st.lists(
+                st.integers(0, 3), min_size=len(labels), max_size=len(labels)))):
+            r, oR = eq.Partition.from_labels(other), TuplePartition.from_labels(other)
+            assert q.refines(r) == oq.refines(oR)
+            assert r.refines(q) == oR.refines(oq)
+
+    def test_storage_is_read_only(self):
+        p = eq.Partition.from_cells([[2, 0], [1]])
+        assert p.order.tolist() == [0, 2, 1] and p.starts.tolist() == [0, 2]
+        assert partition._layout(p).labels.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError):
+            p.order[0] = 1
+        with pytest.raises(AttributeError):
+            p.order = np.arange(3)
+
+    def test_from_labels_memory_is_a_few_int64s_per_index(self):
+        # O(N) int64 arrays; a Python int and list slot per index would add
+        # about 4.5 int64s, and the dict of lists per label much more
+        n = 10 ** 5
+        labels = np.random.default_rng(0).permutation(n) // 2
+        tracemalloc.start()
+        try:
+            p = eq.Partition.from_labels(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.k == n // 2
+        assert peak < 16 * 8 * n
 
 
 class TestIndicatorMatrix:
