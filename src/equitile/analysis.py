@@ -120,6 +120,8 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
     s = _Sums(A, wi)
     if side == "rear":
         Theta = Theta.conj().T
+    if s.e.any():  # Theta for the scaled cells of _Sums: S^-1 Theta S
+        Theta = Theta * np.exp2(s.e[None, :] - s.e[:, None])
     D = _deviation(s.sums(side), s.lay, s.wl, Theta)
     return _schatten(D / np.sqrt(s.norms2)[None, :])[kind]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -53,13 +54,13 @@ DEFAULT_TOL = 1e-10
 
 
 def _tolerance(text: str) -> float:
-    """A finite float; a negative one makes every verdict negative."""
+    """A finite float >= 0: below 0 no residual, not even 0, could pass."""
     try:
-        if np.isfinite(tol := float(text)):
+        if np.isfinite(tol := float(text)) and tol >= 0:
             return tol
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
 
 
 def _default_tol() -> float:
@@ -157,12 +158,27 @@ def _emit(out_dir, name: str, M) -> str:
 
 
 def _print_report(report: dict, indent: int | None = 2) -> None:
-    """Write report as strict JSON; a NaN or infinity is a numerical failure."""
+    """Write report as strict JSON; a NaN or infinity is a numerical failure.
+
+    The text goes to stdout's descriptor by os.write, each write going on
+    from the count the last one returned: an unbuffered stdout's text layer
+    writes once and drops what a short write (a signal during a write to a
+    full pipe) did not take. A stdout without a descriptor, such as a
+    test's capture, takes the text through its own write.
+    """
     try:
-        text = json.dumps(report, indent=indent, allow_nan=False)
+        text = json.dumps(report, indent=indent, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite number: {exc}") from exc
-    print(text)
+    sys.stdout.flush()
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        sys.stdout.write(text)
+        return
+    data = memoryview(text.encode())
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _load_inputs(args):

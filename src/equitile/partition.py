@@ -73,19 +73,23 @@ class Partition:
 
     def __init__(self, cells: Iterable[Iterable[int]]):
         cells = [c.tolist() if isinstance(c, np.ndarray) else tuple(c) for c in cells]
-        sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        if not cells or not sizes.all():
-            raise InputError("cells must be non-empty")
+        sizes = _sizes(cells)
         try:
-            flat = _int64(list(chain.from_iterable(cells)), "cell entries")
+            flat = _int64(list(chain.from_iterable(cells)), "cell entries must be integers")
         except OverflowError:  # beyond int64, so outside 0..N-1
             raise InputError("cells must disjointly cover 0..N-1") from None
+        self._lay = Partition._covering(flat, sizes)._lay
+
+    @classmethod
+    def _covering(cls, flat: np.ndarray, sizes: np.ndarray) -> "Partition":
+        """The partition of cells of sizes whose int64 entries, one cell after
+        another, are flat; InputError unless they disjointly cover 0..N-1."""
         n = flat.size
         # n entries in 0..n-1 that hit every index hit each once
         if not (flat.min() >= 0 and flat.max() < n and np.bincount(flat, minlength=n).all()):
             raise InputError("cells must disjointly cover 0..N-1")
         labels = np.repeat(np.arange(sizes.size), sizes)
-        self._lay = Partition._of(flat[np.lexsort((flat, labels))], np.cumsum(sizes) - sizes)._lay
+        return cls._of(flat[np.lexsort((flat, labels))], np.cumsum(sizes) - sizes)
 
     @classmethod
     def _of(cls, order: np.ndarray, starts: np.ndarray) -> "Partition":
@@ -121,7 +125,7 @@ class Partition:
         lab = labels
         if not (isinstance(lab, np.ndarray) and lab.dtype.kind in "iu"):
             try:
-                lab = _int64(list(lab), "labels")
+                lab = _int64(list(lab), "labels must be integers")
             except OverflowError as exc:
                 raise InputError(f"labels must be integers within int64: {exc}") from None
         if lab.ndim != 1 or not lab.size:
@@ -180,13 +184,17 @@ class Partition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
-        """Inverse of to_dict; n and every index must be integers, not bools."""
+        """Inverse of to_dict; n and every index must be integers, not bools.
+        The entries are checked and converted once, flat (_int64)."""
         try:
-            cells = tuple(tuple(_index(v) - 1 for v in c) for c in d["cells"])
+            cells = [tuple(c) for c in d["cells"]]
+            flat = _int64(list(chain.from_iterable(cells)), "bad partition object") - 1
             n = _index(d["n"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad partition object: {exc}") from exc
-        p = cls(cells)
+        except OverflowError:  # beyond int64, so outside 1..N
+            raise InputError("cells must disjointly cover 0..N-1") from None
+        p = cls._covering(flat, _sizes(cells))
         if p.n != n:
             raise InputError(f"partition covers {p.n} indices but n = {n}")
         return p
@@ -201,13 +209,25 @@ def _index(v) -> int:
 
 def _int64(values: list, what: str) -> np.ndarray:
     """values as int64, each an integer by the rule of _index (applied to one
-    entry of each type); OverflowError beyond int64."""
+    entry of each type), else InputError "what: ..." naming the first entry
+    that is not; OverflowError beyond int64."""
     try:
         for v in dict(zip(map(type, values), values)).values():
             _index(v)
-    except TypeError as exc:
-        raise InputError(f"{what} must be integers: {exc}") from None
+    except TypeError:
+        try:
+            for v in values:
+                _index(v)
+        except TypeError as exc:
+            raise InputError(f"{what}: {exc}") from None
     return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
+def _sizes(cells: list) -> np.ndarray:
+    sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    if not cells or not sizes.all():
+        raise InputError("cells must be non-empty")
+    return sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +256,11 @@ class WeightedIndicator:
         return cls(partition, np.ones(partition.n))
 
     def cell_norms2(self) -> np.ndarray:
-        """Exact squared norms per cell (integer-valued for unit weights)."""
-        p = self.partition
-        return np.add.reduceat(_abs2(self.weights[p.order]), p.starts)
+        """Exact squared norms per cell (integer-valued for unit weights); 0
+        or inf where they are too small or too large for a float64."""
+        _, e, norms2 = _cell_weights(self)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(norms2, -2 * e)
 
     def cell_norms(self) -> np.ndarray:
         return np.sqrt(self.cell_norms2())
@@ -253,11 +275,11 @@ class WeightedIndicator:
 
 def is_admissible(wi: WeightedIndicator) -> bool:
     """Every cell's weight block must have strictly positive norm."""
-    return bool(np.all(wi.cell_norms() > 0))
+    return bool(np.all(_cell_weights(wi)[2] > 0))
 
 
 def require_admissible(wi: WeightedIndicator) -> None:
-    bad = np.flatnonzero(wi.cell_norms2() == 0).tolist()
+    bad = np.flatnonzero(_cell_weights(wi)[2] == 0).tolist()
     if bad:
         raise AdmissibilityError(f"cells {bad} have zero-norm weight blocks")
 
@@ -334,6 +356,25 @@ def _pow2_scale(X: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     for part in parts:
         np.ldexp(part, rows, out=part)
     return e
+
+
+def _cell_weights(wi: WeightedIndicator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(wl, e, norms2): the weights in layout order, cell i's times 2^e[i],
+    and the squared norms of the cells so scaled.
+
+    A cell whose largest |Re| or |Im| lies outside 2^+-400, where its squared
+    norm could overflow or underflow, is scaled by _pow2_scale into [0.5, 1);
+    every other cell keeps e = 0, and its weights and all results from them
+    are the plain ones, bit for bit.
+    """
+    lay = wi.partition._lay
+    wl = wi.weights[lay.order]
+    scaled = wl.copy()
+    e = _pow2_scale(scaled, lay.starts)
+    e[np.abs(e) <= 400] = 0
+    rows = e[lay.labels] != 0
+    wl[rows] = scaled[rows]
+    return wl, e, np.add.reduceat(_abs2(wl), lay.starts)
 
 
 def _largest(X: np.ndarray) -> float:
@@ -442,10 +483,15 @@ class _Sums:
         self.partition = p = wi.partition
         self.keep = keep
         self.A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
-        self.wl = self.w[self.lay.order]
-        self.norms2 = wi.cell_norms2()
+        # cells of far-off weights are scaled by 2^e (_cell_weights): W S for
+        # S = diag(2^e) leaves the residuals and deviations as they are and
+        # turns E^alpha into S^alpha E^alpha S^-alpha, which quotient undoes
+        self.wl, self.e, self.norms2 = _cell_weights(wi)
         if not np.all(self.norms2 > 0):
             require_admissible(wi)
+        if self.e.any():
+            self.w = np.empty_like(self.wl)
+            self.w[self.lay.order] = self.wl
         self._unit = self.w.dtype == np.float64 and bool(np.all(self.w == 1))
         self._memo: dict[tuple[str, bool], np.ndarray] = {}
 
@@ -512,6 +558,8 @@ class _Sums:
         else:
             norms = np.sqrt(norms2)
             entries = (norms ** (alpha - 1.0))[:, None] * M * (norms ** (-alpha - 1.0))[None, :]
+        if self.e.any():
+            entries *= np.exp2(alpha * (self.e[None, :] - self.e[:, None]))
         entries.setflags(write=False)
         return entries
 

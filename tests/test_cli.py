@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,10 +125,22 @@ class TestCheck:
         assert json.loads(out)["side"] == "rear"
 
     def test_env_tolerance_respected(self, capsys, a0_file, pi0_file, monkeypatch):
-        monkeypatch.setenv("EQUITILE_TOL", "-1.0")
+        monkeypatch.setenv("EQUITILE_TOL", "0.0")
         code, out = run_cli(capsys, "check", a0_file, pi0_file)
-        assert code == 3  # impossible tolerance: even residual 0 fails
-        assert json.loads(out)["tol"] == -1.0
+        assert code == 0  # the strictest tolerance: residual 0 passes
+        assert json.loads(out)["tol"] == 0.0
+
+    @pytest.mark.parametrize("command", ["check", "transform", "split"])
+    def test_negative_tolerance_refused(self, capsys, a0_file, pi0_file, monkeypatch, command):
+        # under a negative tolerance no residual, not even 0, could pass
+        with pytest.raises(SystemExit) as exc:
+            main([command, a0_file, pi0_file, "--tol", "-1e-10"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        monkeypatch.setenv("EQUITILE_TOL", "-1.0")
+        assert main([command, a0_file, pi0_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "EQUITILE_TOL" in captured.err
 
 
 class TestTransform:
@@ -647,3 +662,35 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_equitable"] is True
+
+
+# a child that prints a report of about 400 kB, more than a pipe holds, while
+# a 10 ms timer signal interrupts it, as an in-process sampling profiler does
+_SIGNALLED_CHILD = """
+import signal, sys
+from equitile.cli import _print_report
+signal.signal(signal.SIGALRM, lambda *args: None)
+signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)
+print("ready", file=sys.stderr, flush=True)
+_print_report({"values": list(range(40000))})
+signal.setitimer(signal.ITIMER_REAL, 0)
+"""
+
+
+def test_report_is_whole_when_signals_interrupt_a_full_pipe():
+    # under PYTHONUNBUFFERED a print's text layer writes once to the raw file
+    # and drops what a short write did not take: the report arrived cut at
+    # 64 KiB. Each child blocks on a full pipe until the parent reads.
+    src = str(Path(eq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    children = [subprocess.Popen([sys.executable, "-c", _SIGNALLED_CHILD], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for _ in range(4)]
+    for child in children:
+        assert child.stderr.readline() == b"ready\n"
+    time.sleep(0.3)
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        assert json.loads(out) == {"values": list(range(40000))}

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.io
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -665,3 +666,250 @@ def test_writer_matches_percent_format_on_a_million_values(tmp_path):
     save_matrix_market(path, x.reshape(-1, 1))
     body = path.read_text().split("\n", 2)[2]
     assert body == ("%.16e\n" * n) % tuple(x.tolist())
+
+
+# --- the vectorized reader against np.loadtxt --------------------------------
+#
+# load_matrix_market reads an array general real or complex body whose every
+# line is the writer's (k tokens "[-]d.dddddddddddddddde[+-]dd", one space, a
+# newline) _BODY_BYTES at a time with Eisel-Lemire; any other body goes to
+# np.loadtxt whole. np.loadtxt and the per-entry reference reader are the
+# oracles; small _BODY_BYTES put block seams everywhere.
+
+_FAST_TOKEN = re.compile(rb"-?\d\.\d{16}e[+-]\d\d")
+
+
+def _loadtxt_matrix(path, shape, field):
+    """The matrix of a header-and-size-line array file read by np.loadtxt."""
+    v = np.loadtxt(path, skiprows=2, ndmin=2)
+    v = v.view(np.complex128) if field == "complex" else v
+    return np.ascontiguousarray(v.reshape(shape[::-1]).T)
+
+
+def _reads_like_loadtxt(path, shape, field, reference=True):
+    """load_dense(path) against both oracles at several block sizes; True if
+    the vectorized path took every block (np.loadtxt was never called)."""
+    want = _loadtxt_matrix(path, shape, field)
+    if reference:
+        assert _same_bits(reference_load_matrix_market(path).matrix, want)
+    fast = True
+    for body_bytes in (48, 61, 1000, 1 << 18):
+        with mock.patch.object(mmio, "_BODY_BYTES", body_bytes), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            assert _same_bits(load_dense(path), want), body_bytes
+        fast &= spy.call_count == 0
+    return fast
+
+
+def _writer_shaped(path) -> bool:
+    return all(map(_FAST_TOKEN.fullmatch, path.read_bytes().split()[7:]))
+
+
+def _write_array(path, M, field=None):
+    save_matrix_market(path, M, field=field)
+    return "complex" if np.iscomplexobj(M) or field == "complex" else "real"
+
+
+_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),  # any double: NaN, infinities, subnormals, 3-digit exponents
+    st.sampled_from([0, 1 << 63, 1, (1 << 63) + (1 << 52) - 1]),  # +-0, subnormals
+    # |x| around 1e-99..1e100, where %.16e has a two-digit exponent
+    st.builds(lambda s, e, f: s << 63 | e << 52 | f, st.integers(0, 1), st.integers(690, 1358),
+              st.integers(0, 2 ** 52 - 1)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_BITS, min_size=1, max_size=40), st.integers(1, 3), st.booleans())
+def test_reader_matches_loadtxt_on_any_doubles(bits, cols, complex_):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    x = x[:x.size // (2 * cols) * 2 * cols] if complex_ else x[:x.size // cols * cols]
+    assume(x.size)
+    M = x.view(np.complex128).reshape(-1, cols) if complex_ else x.reshape(-1, cols)
+    with TemporaryDirectory() as d:
+        path = Path(d) / "m.mtx"
+        field = _write_array(path, M)
+        assert _reads_like_loadtxt(path, M.shape, field) == _writer_shaped(path)
+
+
+def test_reader_on_the_writer_edge_sets(tmp_path, rng):
+    # all with two-digit exponents: the largest double below 10**-99 is written e-100
+    below = [float(np.nextafter(float(Fraction(10) ** e), 0)) for e in range(-98, 100)]
+    x = np.concatenate([_powers_of_ten(), _ties(rng), below, 10.0 ** np.arange(-99, 100)])
+    x = np.concatenate([x, -x, [0.0, -0.0]])
+    x = x[:x.size // 4 * 4]
+    for M in (x.reshape(-1, 2), x.view(np.complex128).reshape(-1, 2)):
+        path = tmp_path / "m.mtx"
+        assert _reads_like_loadtxt(path, M.shape, _write_array(path, M))
+
+
+def _tokens_file(path, tokens, k):
+    lines = [" ".join(tokens[i:i + k]) for i in range(0, len(tokens), k)]
+    path.write_text(f"%%MatrixMarket matrix array {'complex' if k == 2 else 'real'} general\n"
+                    f"{len(lines)} 1\n" + "\n".join(lines) + "\n")
+
+
+def _token(digits: str, exponent: int, negative=False) -> str:
+    """The %.16e-shaped token of the 17 decimal digits times 10**exponent."""
+    return f"{'-' * negative}{digits[0]}.{digits[1:]}e{exponent:+03d}"
+
+
+def test_reader_rounds_decimal_ties_to_even(tmp_path, rng):
+    # 17-digit decimals halfway between two doubles: odd multiples of half an
+    # ulp in [2**52, 10**17), which the reader hands to float()
+    ties = []
+    for lo in rng.integers(2 ** 52, 10 ** 17 - 2 ** 5, 300).tolist():
+        d = float(lo)
+        half = Fraction(float(np.nextafter(d, np.inf)) - d) / 2
+        t = Fraction(d) + half
+        digits = str(t.numerator * 10 // t.denominator if t.denominator == 2 else t.numerator)
+        exponent = len(str(int(t))) - 1
+        ties.append(_token(digits.ljust(17, "0"), exponent, negative=len(ties) % 2 == 1))
+    assert all(Fraction(t) % 1 in (0, Fraction(1, 2)) for t in ties)
+    for k in (1, 2):
+        path = tmp_path / f"t{k}.mtx"
+        _tokens_file(path, ties, k)
+        got = load_dense(path)
+        assert got.view(np.float64).ravel().tolist() == [float(t) for t in ties]
+        assert _reads_like_loadtxt(path, got.shape, ("real", "complex")[k - 1])
+
+
+def _needs_second_product(token: str) -> bool:
+    """Whether Eisel-Lemire's first 64x64 product leaves the 9 bits below the
+    55 it keeps all ones, so that the second product is formed."""
+    digits, exponent = token.lstrip("-").replace(".", "").split("e")
+    w = int(digits)
+    w <<= 64 - w.bit_length()
+    return (w * (mmio._pow5_128(int(exponent) - 16) >> 64) >> 64) & 0x1FF == 0x1FF
+
+
+def test_reader_takes_the_second_product(tmp_path, rng):
+    digits = rng.integers(10 ** 16, 10 ** 17, 40000).tolist()
+    exponents = rng.integers(-99, 100, 40000).tolist()
+    tokens = [_token(str(d), e, negative=d % 3 == 0) for d, e in zip(digits, exponents)]
+    second = [t for t in tokens if _needs_second_product(t)]
+    assert len(second) >= 40
+    for k in (1, 2):
+        path = tmp_path / f"s{k}.mtx"
+        _tokens_file(path, second[:len(second) // 2 * 2], k)
+        got = load_dense(path)
+        assert got.view(np.float64).ravel().tolist() == [float(t) for t in second[:got.size * k]]
+        assert _reads_like_loadtxt(path, got.shape, ("real", "complex")[k - 1])
+
+
+def test_reader_normalizes_digits_next_to_powers_of_two(tmp_path):
+    # a 17-digit D just below 2**54, 2**55 or 2**56 rounds up to the power of
+    # two as a float, whose exponent then overstates D's bit length by one
+    ds = [2 ** b + d for b in (54, 55, 56) for d in (-3, -2, -1, 0, 1)] + [10 ** 16, 10 ** 17 - 1]
+    tokens = [_token(str(d), e, negative=e < 0) for d in ds for e in (-99, -16, 0, 7, 99)]
+    _tokens_file(tmp_path / "p.mtx", tokens, 1)
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        got = load_dense(tmp_path / "p.mtx")
+    assert got.ravel().tolist() == [float(t) for t in tokens]
+
+
+def test_reader_hands_non_finite_values_to_loadtxt(tmp_path, rng):
+    M = rng.normal(size=(41, 3)) * 10.0 ** rng.integers(-90, 90, size=(41, 3))
+    M.flat[rng.choice(M.size, size=len(_SPLICED), replace=False)] = _SPLICED
+    M[0, 0], M[-1, -1], M[20, 1] = np.nan, -np.inf, np.inf
+    C = np.empty(M.shape, dtype=complex)
+    C.real, C.imag = M, np.roll(M, 7)
+    for X in (M, C):
+        path = tmp_path / "m.mtx"
+        assert not _reads_like_loadtxt(path, X.shape, _write_array(path, X))
+
+
+def test_reader_on_a_million_random_magnitudes(tmp_path):
+    rng = np.random.default_rng(13)
+    n = 10 ** 6
+    x = rng.uniform(1, 10, n) * 10.0 ** rng.integers(-99, 100, n) * rng.choice([-1.0, 1.0], n)
+    x[rng.choice(n, 1000, replace=False)] = 0.0
+    path = tmp_path / "m.mtx"
+    save_matrix_market(path, x.reshape(1000, 1000))
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        got = load_dense(path)
+    assert _same_bits(got, _loadtxt_matrix(path, (1000, 1000), "real"))
+
+
+@pytest.mark.parametrize("shape, field", [((600, 600), "complex"), ((600, 500), "real")])
+def test_writer_files_never_reach_loadtxt(tmp_path, shape, field):
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=shape) + (1j * rng.normal(size=shape) if field == "complex" else 0)
+    path = tmp_path / "m.mtx"
+    save_matrix_market(path, M)
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        got = load_dense(path)
+    assert _same_bits(got, M) and got.flags.c_contiguous
+
+
+_BASE_BODY = "1.5000000000000000e+00 -2.0000000000000000e-03\n-0.0000000000000000e+00 7.0e+01\n"
+_HAND_EDITS = {
+    "comment line": lambda b: "% a note\n" + b,
+    "trailing comment": lambda b: b.replace("\n", " % note\n", 1),
+    "tab": lambda b: b.replace(" ", "\t", 1),
+    "two spaces": lambda b: b.replace(" ", "  ", 1),
+    "crlf": lambda b: b.replace("\n", "\r\n"),
+    "capital E": lambda b: b.replace("e+00", "E+00"),
+    "leading plus": lambda b: "+" + b,
+    "no final newline": lambda b: b[:-1],
+    "blank line": lambda b: b.replace("\n", "\n\n", 1),
+    "three-digit exponent": lambda b: b.replace("e-03", "e-300"),
+    "nan and inf": lambda b: b.replace("1.5000000000000000e+00", "nan").replace(
+        "7.0e+01", "-inf"),
+    "non-ASCII": lambda b: b.replace("\n", " % é\n", 1),
+    "not UTF-8": lambda b: b.replace("\n", " % \xff\n", 1),
+    "one value short": lambda b: b.replace(" 7.0e+01", ""),
+    "a value too many": lambda b: b + "1.0000000000000000e+00 1.0000000000000000e+00\n",
+    "bad token": lambda b: b.replace("7.0e+01", "7.0x+01"),
+    "letter in digits": lambda b: b.replace("1.5000000000000000e+00", "1.50000000a0000000e+00"),
+    "comma sign": lambda b: b.replace("e-03", "e,03"),
+    "comma for the point": lambda b: b.replace("1.5", "1,5"),
+    "comma between values": lambda b: b.replace(" ", ",", 1),
+    "word between values": lambda b: b.replace(" -2.0", " x -2.0"),
+    "number without exponent": lambda b: b.replace("\n", " 7\n", 1),
+    "line without exponent at the end": lambda b: b + "7\n",
+    "line without exponent inside": lambda b: b.replace("\n", "\n7\n", 1),
+    "two entries on one line": lambda b: b.replace("\n", " ", 1),
+    "word before the first value": lambda b: "x" + b,
+}
+
+
+def test_reader_refuses_a_size_line_the_body_cannot_hold(tmp_path):
+    # the reader sizes its table from the size line only when the body is long
+    # enough to hold that many lines; the general reader counts the entries
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n100000000000 100000\n"
+                    + _BASE_BODY.replace("7.0e+01", "7.0000000000000000e+01"))
+    with pytest.raises(InputError, match="expected 10000000000000000 entries, found 2"):
+        load_dense(path)
+
+
+def test_reader_refuses_a_body_one_line_short(tmp_path):
+    # 23 lines of two negative tokens fill the 1104 bytes that 24 shortest
+    # lines would: the size check passes, and the count of values refuses it
+    line = "-1.0000000000000000e-01 -2.0000000000000000e+01\n"
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n24 1\n" + line * 23)
+    with pytest.raises(InputError, match="expected 24 entries, found 23"):
+        load_dense(path)
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_EDITS))
+@pytest.mark.parametrize("writer_shaped", [False, True])
+def test_hand_edited_bodies_read_as_by_loadtxt(tmp_path, name, writer_shaped):
+    body = _BASE_BODY.replace("7.0e+01", "7.0000000000000000e+01") if writer_shaped else _BASE_BODY
+    path = tmp_path / "m.mtx"
+    encoding = "latin-1" if name == "not UTF-8" else "utf-8"
+    path.write_bytes(("%%MatrixMarket matrix array complex general\n2 1\n"
+                      + _HAND_EDITS[name](body)).encode(encoding))
+    outcomes = []
+    for fast in (True, False):
+        for body_bytes in (48, 1 << 18):
+            with mock.patch.object(mmio, "_BODY_BYTES", body_bytes), \
+                    mock.patch.object(mmio, "_read_array",
+                                      mmio._read_array if fast else lambda *a: None):
+                try:
+                    outcomes.append(("ok", load_dense(path).tobytes()))
+                except InputError as exc:
+                    outcomes.append(("refused", str(exc)))
+    assert all(o == outcomes[-1] for o in outcomes), outcomes

@@ -694,3 +694,95 @@ def _random_front_equitable(rng, n, k):
 def _shuffled_cells(rng, p):
     """p with its cells in random order: neither contiguous nor canonical."""
     return eq.Partition.from_cells([p.cells[i] for i in rng.permutation(p.k)])
+
+
+class TestFromDict:
+    def test_refusals_name_the_first_bad_value(self):
+        cases = {
+            "bad partition object: True is not an index": {"n": 2, "cells": [[1, True], [False]]},
+            "bad partition object: 'float' object cannot be interpreted as an integer":
+                {"n": 2, "cells": [[1], [2.0]]},
+            "bad partition object: 'str' object cannot be interpreted as an integer":
+                {"n": 2, "cells": [["1"], [2]]},
+            "bad partition object: 'int' object is not iterable": {"n": 2, "cells": [1, [2]]},
+            "bad partition object: 'cells'": {"n": 2},
+            "bad partition object: False is not an index": {"n": False, "cells": [[1], [2]]},
+            "partition covers 2 indices but n = 3": {"n": 3, "cells": [[1], [2]]},
+            "cells must be non-empty": {"n": 1, "cells": [[1], []]},
+            "cells must disjointly cover 0..N-1": {"n": 2, "cells": [[1], [2 ** 70]]},
+        }
+        for message, d in cases.items():
+            with pytest.raises(InputError) as exc:
+                eq.Partition.from_dict(d)
+            assert str(exc.value) == message
+
+    def test_entries_are_checked_once(self, monkeypatch):
+        # one _index call per entry type, however many entries
+        n = 1000
+        d = {"n": n, "cells": [[2 * i + 1, 2 * i + 2] for i in range(n // 2)]}
+        want = eq.Partition.from_cells([[2 * i, 2 * i + 1] for i in range(n // 2)])
+        calls = []
+        monkeypatch.setattr(partition, "_index", lambda v: calls.append(v) or int(v))
+        assert eq.Partition.from_dict(d) == want
+        assert len(calls) == 2  # one entry and n
+
+
+class TestScaledCellNorms:
+    """Cells of weights far from 1 are scaled by a power of two (2^e, e the
+    cell's) before their norms are squared; quotients, residuals and
+    deviations are those of the plain weights, exactly."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        p = eq.Partition.from_labels(rng.integers(0, 3, 12))
+        w = rng.uniform(0.5, 1.0, 12) * rng.choice([-1.0, 1.0], 12)
+        w[p.order[p.starts]] = 0.75  # each cell's largest |w| in [0.5, 1): scaled back exactly
+        A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        return A, p, w
+
+    @pytest.mark.parametrize("k", [[-700, -690, -680], [600, 610, 620], [0, 450, -450]])
+    def test_far_weights_match_plain_ones(self, setup, k):
+        A, p, w = setup
+        k = np.array(k)
+        lab = p.labels()
+        plain = eq.WeightedIndicator(p, w)
+        far = eq.WeightedIndicator(p, np.ldexp(w, k[lab]))
+        assert eq.is_admissible(far)
+        for alpha in (-1.0, 0.0, 1.0):
+            got = eq.generalized_quotient(A, far, alpha).entries
+            want = eq.generalized_quotient(A, plain, alpha).entries
+            # E^alpha of W S is S^alpha E^alpha S^-alpha for S = diag(2^k)
+            d = k[:, None] - k[None, :]
+            assert np.array_equal(got, want * np.exp2(alpha * d))
+        for side in ("front", "rear"):
+            v = eq.check_equitable(A, far, side)
+            assert np.array_equal(v.per_block_residuals, eq.check_equitable(A, plain, side)
+                                  .per_block_residuals)
+        for t_far, t_plain in zip(eq.deviation_matrices(A, far), eq.deviation_matrices(A, plain)):
+            assert np.array_equal(t_far.assembled, t_plain.assembled)
+        Theta, d = A[:3, :3], k[None, :] - k[:, None]
+        for side, sign in (("front", 1), ("rear", -1)):
+            assert eq.theta_residual(A, far, Theta * np.exp2(sign * d), side) == \
+                eq.theta_residual(A, plain, Theta, side)
+
+    def test_tiny_and_huge_uniform_weights(self):
+        A = np.array([[1.0, 2.0], [3.0, 5.0]])
+        p = eq.Partition.single_cell(2)
+        unit = eq.generalized_quotient(A, eq.WeightedIndicator.unit(p), -1.0).entries
+        for c in (1e-200, 1e160, 2.0 ** -1070):
+            wi = eq.WeightedIndicator(p, [c, c])
+            assert eq.is_admissible(wi)
+            assert np.allclose(eq.generalized_quotient(A, wi, -1.0).entries, unit, rtol=1e-15)
+            assert eq.check_equitable(A, wi).max_residual == pytest.approx(
+                eq.check_equitable(A, eq.WeightedIndicator.unit(p)).max_residual, rel=1e-15)
+        # the squared norm itself is outside float64 and reads 0 or inf
+        assert eq.WeightedIndicator(p, [1e-200, 1e-200]).cell_norms2().tolist() == [0.0]
+        assert eq.WeightedIndicator(p, [1e160, 1e160]).cell_norms2().tolist() == [np.inf]
+
+    def test_plain_weights_keep_their_norms(self, rng):
+        p = eq.Partition.from_labels(rng.integers(0, 4, 30))
+        w = rng.normal(size=30) * 2.0 ** rng.integers(-390, 390, 30)
+        wi = eq.WeightedIndicator(p, w)
+        wl, e, norms2 = partition._cell_weights(wi)
+        assert not e.any() and np.array_equal(wl, w[p.order])
+        assert np.array_equal(wi.cell_norms2(), np.add.reduceat(w[p.order] ** 2, p.starts))
