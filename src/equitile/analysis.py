@@ -122,8 +122,8 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
         Theta = Theta.conj().T
     if s.e.any():  # Theta for the scaled cells of _Sums: S^-1 Theta S
         Theta = Theta * np.exp2(s.e[None, :] - s.e[:, None])
-    D = _deviation(s.sums(side), s.lay, s.wl, Theta)
-    return _schatten(D / np.sqrt(s.norms2)[None, :])[kind]
+    D = _deviation(s.sums(side), s.lay, s.wl, Theta) / np.sqrt(s.norms2)[None, :]
+    return _frobenius(D) if kind == "frobenius" else _schatten(D)[kind]  # an SVD only if needed
 
 
 @dataclass(frozen=True, eq=False)

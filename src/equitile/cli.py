@@ -26,7 +26,7 @@ from .errors import (
     RankDeficiencyError,
 )
 
-from .mmio import load_matrix_market, save_matrix_market
+from .mmio import _write_blocks, load_matrix_market, save_matrix_market
 from .partition import (
     Partition,
     WeightedIndicator,
@@ -148,13 +148,25 @@ def _cplx_matrix(M) -> list:
     return [[_cplx(z) for z in row] for row in np.asarray(M)]
 
 
-def _emit(out_dir, name: str, M) -> str:
+def _target(out_dir, name: str) -> str:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / f"{name}.mtx"
-    field = "complex" if np.iscomplexobj(M) else "real"
-    save_matrix_market(target, M, fmt="array", field=field)
-    return str(target)
+    return str(out_dir / f"{name}.mtx")
+
+
+def _emit_blocks(out_dir, result, names) -> dict:
+    """Write the named windows of result's A_hat = [[E, D_plus_conj],
+    [D_minus, F]] (A_hat the whole) in one pass; name -> path, in order."""
+    q, r = result.E.shape
+    m, n = q + result.F.shape[0], r + result.F.shape[1]
+    windows = {"A_hat": (range(m), range(n)), "E": (range(q), range(r)),
+               "D_minus": (range(q, m), range(r)), "D_plus_conj": (range(q), range(r, n)),
+               "F": (range(q, m), range(r, n))}
+    files = {name: _target(out_dir, name) for name in names}
+    field = "complex" if np.iscomplexobj(result.E) else "real"
+    _write_blocks((result.E, result.D_minus, result.D_plus_conj, result.F),
+                  {files[name]: windows[name] for name in names}, field)
+    return files
 
 
 def _print_report(report: dict, indent: int | None = 2) -> None:
@@ -235,23 +247,17 @@ def cmd_transform(args) -> int:
     if unknown:
         raise InputError(f"unknown --emit values: {sorted(unknown)}")
 
-    files = {}
-    if "E" in wanted:
-        files["E"] = _emit(args.out_dir, "E", result.E)
-    if "F" in wanted:
-        files["F"] = _emit(args.out_dir, "F", result.F)
-    if "D" in wanted:
-        files["D_minus"] = _emit(args.out_dir, "D_minus", result.D_minus)
-        files["D_plus_conj"] = _emit(args.out_dir, "D_plus_conj", result.D_plus_conj)
-    if "full" in wanted:
-        files["A_hat"] = _emit(args.out_dir, "A_hat", result.assembled())
+    groups = {"E": ["E"], "F": ["F"], "D": ["D_minus", "D_plus_conj"], "full": ["A_hat"]}
+    files = _emit_blocks(args.out_dir, result,
+                         [name for flag, group in groups.items() if flag in wanted for name in group])
     if "eigvecs" in wanted:
         (_, vecs_E), (_, vecs_F) = result.eigenpairs
         k = result.k
         Z = np.zeros((result.n, result.n), dtype=complex)
         Z[:k, :k] = vecs_E
         Z[k:, k:] = vecs_F
-        files["eigvecs"] = _emit(args.out_dir, "eigvecs", recover_eigenvector(result, Z))
+        files["eigvecs"] = _target(args.out_dir, "eigvecs")
+        save_matrix_market(files["eigvecs"], recover_eigenvector(result, Z))
 
     sums = _Sums(A, wi, keep=True)  # one front and one rear pass, released by deviations
     quotients = {name: _cplx_matrix(sums.quotient(alpha))
@@ -322,12 +328,7 @@ def cmd_rect(args) -> int:
     result = rect_transform(A, left, right)
     T_minus, T_plus = _deviations(A, left, right)
 
-    files = {
-        "E": _emit(args.out_dir, "E", result.E),
-        "D_minus": _emit(args.out_dir, "D_minus", result.D_minus),
-        "D_plus_conj": _emit(args.out_dir, "D_plus_conj", result.D_plus_conj),
-        "F": _emit(args.out_dir, "F", result.F),
-    }
+    files = _emit_blocks(args.out_dir, result, ["E", "D_minus", "D_plus_conj", "F"])
 
     sv_A = _singular_values(A)
     sv_Ah = _singular_values(result.assembled())

@@ -12,10 +12,15 @@ file is refused, and so is, in either format, a nonzero imaginary part on
 the diagonal of a hermitian file.
 
 The writer's text is ``%.16e`` per float and ``%d`` per index and integer,
-_BLOCK_ROWS table rows at a time; in array real and complex files
-_put_float writes x = 0 and 10**-11 <= |x| < 10**16 exactly with numpy
-integer arithmetic, and other rows are formatted by their template and
-spliced in. A body is read by one ``np.loadtxt`` and scattered in one step,
+about _BLOCK_ROWS table rows at a time, written as bytes to files opened in
+binary mode; in array real and complex files _put_float writes x = 0 and
+10**-11 <= |x| < 10**16 exactly with numpy integer arithmetic, and other
+rows are formatted by their template and spliced in. Those files are
+windows (a row range by a column range) of a block form
+A_hat = [[E, D_plus_conj], [D_minus, F]], written by _write_blocks in one
+pass that never assembles A_hat and formats each value some window holds
+once; a saved matrix is the one window of a form whose other blocks are
+empty. A body is read by one ``np.loadtxt`` and scattered in one step,
 but an array general real or complex body whose every line is the writer's
 with two-digit exponents is parsed by _parse_block, in about 110-170 ns a
 value against loadtxt's 320-600. Eisel-Lemire rounds each value correctly
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +43,7 @@ from .errors import InputError
 _FIELDS = {"real", "complex", "integer"}
 _FORMATS = {"array", "coordinate"}
 _SYMMETRIES = {"general", "symmetric", "hermitian", "skew-symmetric"}
-_BLOCK_ROWS = 4096  # table rows formatted per write
+_BLOCK_ROWS = 4096  # table rows a write; the array writer rounds up to whole columns
 _BODY_BYTES = 1 << 17  # body bytes a block of _read_array, whose temporaries take ~9x that
 
 _U64, _U8 = np.uint64, np.uint8
@@ -252,6 +258,9 @@ def _parse_block(b, k: int):
     return x
 
 
+_SPECS = {"complex": "%.16e %.16e", "integer": "%d", "real": "%.16e"}
+
+
 def save_matrix_market(path, M, fmt: str = "array", field: str | None = None) -> None:
     M = np.asarray(M)
     if M.ndim != 2:
@@ -262,6 +271,10 @@ def save_matrix_market(path, M, fmt: str = "array", field: str | None = None) ->
         field = "complex" if np.iscomplexobj(M) else "integer" if M.dtype.kind in "iu" else "real"
     if field not in _FIELDS:
         raise InputError(f"unsupported field {field!r}")
+    if fmt == "array" and field != "integer":  # M as the lead block of an empty block form
+        _write_blocks((M, M[:0], M[:, :0], M[:0, :0]),
+                      {path: (range(M.shape[0]), range(M.shape[1]))}, field)
+        return
     coordinate = fmt == "coordinate"
     table = list(np.nonzero(M)) if coordinate else []
     values = M[tuple(table)] if coordinate else M.T.ravel()
@@ -273,22 +286,85 @@ def save_matrix_market(path, M, fmt: str = "array", field: str | None = None) ->
     table.append(np.rint(re) if field == "integer" else re)
     if field == "complex":
         table.append(np.asarray(values.imag, dtype=np.float64))
-    spec = {"complex": "%.16e %.16e", "integer": "%d", "real": "%.16e"}[field]
-    line = "%d %d " * coordinate + spec + "\n"
-    size = f"{M.shape[0]} {M.shape[1]}" + f" {len(values)}" * coordinate
-    fast = not coordinate and field != "integer"  # float columns only
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix {fmt} {field} general\n{size}\n")
+    line = "%d %d " * coordinate + _SPECS[field] + "\n"
+    with open(path, "wb") as fh:
+        fh.write(_header(fmt, field, M.shape + (len(values),) * coordinate))
         for a in range(0, len(values), _BLOCK_ROWS):
-            block = [c[a:a + _BLOCK_ROWS] for c in table]
-            if fast:
-                fh.write(_format_rows(block, line))
-            else:
-                fh.write(line * len(block[0]) % tuple(np.column_stack(block).ravel().tolist()))
+            block = np.column_stack([c[a:a + _BLOCK_ROWS] for c in table])
+            fh.write((line * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
-def _format_rows(values: list, line: str) -> str:
-    """The text of ``line % row`` for every row of one block of float columns.
+def _header(fmt: str, field: str, sizes: tuple) -> bytes:
+    return f"%%MatrixMarket matrix {fmt} {field} general\n{' '.join(map(str, sizes))}\n".encode()
+
+
+def _write_blocks(blocks, files: dict, field: str) -> None:
+    """Write windows of A_hat = [[E, D_plus_conj], [D_minus, F]] as array files, in one pass.
+
+    blocks are (E, D_minus, D_plus_conj, F); files maps each path to its
+    window (rows, cols), two ranges of A_hat's indices; field is "real" or
+    "complex". A_hat is never assembled. Its columns are walked in order,
+    in bands over which the same files are open; in a band, the rows from
+    the first any of them holds to the last one any holds are taken in
+    column-major order, _BLOCK_ROWS at a time (whole columns, or one
+    column cut in pieces), copied from the blocks and formatted once. Each
+    file takes its rows' bytes as runs cut at line offsets, one a column,
+    or the whole chunk when its window holds every row of it.
+    """
+    line = _SPECS[field] + "\n"
+    with ExitStack() as stack:
+        targets = []
+        for path, (rows, cols) in files.items():
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(_header("array", field, (len(rows), len(cols))))
+            if len(rows) and len(cols):
+                targets.append((fh, rows, cols))
+        cuts = sorted({c for _, _, cols in targets for c in (cols.start, cols.stop)})
+        for c0, c1 in zip(cuts, cuts[1:]):
+            band = [(fh, rows) for fh, rows, cols in targets if cols.start <= c0 and c1 <= cols.stop]
+            if not band:
+                continue
+            r0, r1 = min(rows.start for _, rows in band), max(rows.stop for _, rows in band)
+            cut = any(rows != range(r0, r1) for _, rows in band)  # a file takes part of a column
+            step = -(-_BLOCK_ROWS // (r1 - r0))  # columns a chunk, at least _BLOCK_ROWS rows
+            for j0 in range(c0, c1, step):
+                j1 = min(j0 + step, c1)
+                for i0 in range(r0, r1, _BLOCK_ROWS):
+                    i1 = min(i0 + _BLOCK_ROWS, r1)
+                    x = _window(blocks, range(i0, i1), range(j0, j1)).ravel()
+                    values = [np.asarray(x.real, dtype=np.float64)]
+                    if field == "complex":
+                        values.append(np.asarray(x.imag, dtype=np.float64))
+                    text, offsets = _format_rows(values, line, cut)
+                    for fh, rows in band:
+                        a, b = max(rows.start, i0) - i0, min(rows.stop, i1) - i0
+                        if (a, b) == (0, i1 - i0):
+                            fh.write(text)
+                        elif a < b:
+                            view, column = memoryview(text), np.arange(0, x.size, i1 - i0)
+                            for start, end in zip(offsets[column + a].tolist(),
+                                                  offsets[column + b].tolist()):
+                                fh.write(view[start:end])
+
+
+def _window(blocks, rows: range, cols: range) -> np.ndarray:
+    """A_hat[rows, cols].T, a new C-contiguous array, copied from the blocks
+    (E, D_minus, D_plus_conj, F) of A_hat = [[E, D_plus_conj], [D_minus, F]]."""
+    E, D_minus, D_plus_conj, F = blocks
+    q, r = E.shape
+    out = np.empty((len(cols), len(rows)), dtype=np.result_type(*blocks))
+    for B, i0, j0 in ((E, 0, 0), (D_minus, q, 0), (D_plus_conj, 0, r), (F, q, r)):
+        a, b = max(rows.start, i0), min(rows.stop, i0 + B.shape[0])
+        c, d = max(cols.start, j0), min(cols.stop, j0 + B.shape[1])
+        if a < b and c < d:
+            out[c - cols.start:d - cols.start, a - rows.start:b - rows.start] = \
+                B[a - i0:b - i0, c - j0:d - j0].T
+    return out
+
+
+def _format_rows(values: list, line: str, cut: bool) -> tuple[bytes, np.ndarray | None]:
+    """The bytes of ``line % row`` for every row of one block of float
+    columns and, if cut, the n + 1 offsets where the rows' lines start and end.
 
     values are the block's float64 value columns, one (real) or two
     (complex), and line their template. Each row is laid out in a uint8
@@ -305,16 +381,26 @@ def _format_rows(values: list, line: str) -> str:
     buf[:, -1] = ord("\n")
     spliced = np.flatnonzero(~ok)
     buf[spliced] = 0
-    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    text = buf.tobytes().translate(None, b"\0")
+    if not (cut or spliced.size):
+        return text, None
+    width = np.full(n, buf.shape[1])
+    for k in range(len(values)):
+        width -= buf[:, 24 * k] == 0  # no sign
+    width[spliced] = 0
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(width, out=offsets[1:])
     if not spliced.size:
-        return text
-    ends = np.cumsum(np.count_nonzero(buf, axis=1)).tolist()
+        return text, offsets
     pieces, start = [], 0
     for r in spliced.tolist():
-        pieces += [text[start:ends[r]], line % tuple(x[r].item() for x in values)]
-        start = ends[r]
+        row = (line % tuple(x[r].item() for x in values)).encode("ascii")
+        pieces += [text[start:offsets[r]], row]
+        start = offsets[r]
+        width[r] = len(row)
     pieces.append(text[start:])
-    return "".join(pieces)
+    np.cumsum(width, out=offsets[1:])
+    return b"".join(pieces), offsets
 
 
 def _put_float(out, x) -> np.ndarray:

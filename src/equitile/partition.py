@@ -88,8 +88,10 @@ class Partition:
         # n entries in 0..n-1 that hit every index hit each once
         if not (flat.min() >= 0 and flat.max() < n and np.bincount(flat, minlength=n).all()):
             raise InputError("cells must disjointly cover 0..N-1")
-        labels = np.repeat(np.arange(sizes.size), sizes)
-        return cls._of(flat[np.lexsort((flat, labels))], np.cumsum(sizes) - sizes)
+        # the cells arrive grouped, which a stable (run-merging) argsort of
+        # label n + index exploits; a key is below n**2
+        key = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes) + flat
+        return cls._of(flat[np.argsort(key, kind="stable")], np.cumsum(sizes) - sizes)
 
     @classmethod
     def _of(cls, order: np.ndarray, starts: np.ndarray) -> "Partition":

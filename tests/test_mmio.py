@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 import warnings
@@ -14,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from equitile import mmio
+from equitile import Partition, WeightedIndicator, block_triangularize, cli, mmio
 from equitile.cli import main
 from equitile.errors import InputError
 from equitile.mmio import load_dense, load_matrix_market, save_matrix_market
+from equitile.rectangular import (_BlockForm, assemble_block_diagonal, block_svd, rect_transform,
+                                  split_block_diagonal)
 
 from helpers import reference_load_matrix_market, reference_save_matrix_market
 
@@ -913,3 +916,158 @@ def test_hand_edited_bodies_read_as_by_loadtxt(tmp_path, name, writer_shaped):
                 except InputError as exc:
                     outcomes.append(("refused", str(exc)))
     assert all(o == outcomes[-1] for o in outcomes), outcomes
+
+
+# --- windows of a block form, written in one pass ------------------------------
+#
+# The CLI writes A_hat = [[E, D_plus_conj], [D_minus, F]] and its blocks with one
+# _write_blocks call, which walks A_hat once without assembling it and formats
+# each value once. Every file must be byte for byte save_matrix_market's, and
+# the per-entry reference writer's, of the matrix it holds; _BLOCK_ROWS of 1
+# and 5 put chunk edges inside every window.
+
+_NAMES = ("A_hat", "E", "D_minus", "D_plus_conj", "F")
+
+
+def _emitted_like_saves(out, files: dict, form):
+    """Each emitted file against save_matrix_market and the reference writer."""
+    for name, path in files.items():
+        M = form.assembled() if name == "A_hat" else getattr(form, name)
+        save_matrix_market(out / "save.mtx", M)
+        reference_save_matrix_market(out / "ref.mtx", M)
+        got = Path(path).read_bytes()
+        assert got == (out / "save.mtx").read_bytes() == (out / "ref.mtx").read_bytes(), name
+
+
+@st.composite
+def _block_forms(draw):
+    rows, cols = (draw(st.lists(st.integers(0, 5), min_size=2, max_size=2)) for _ in "rc")
+    floats = st.one_of(st.sampled_from(_SPLICED + [1e-17, -1e-17, 1.5, -2.5]),
+                       st.floats(width=64))
+    shape = (sum(rows), sum(cols))
+    if draw(st.booleans()):
+        M = draw(hnp.arrays(np.float64, shape + (2,), elements=floats)).view(complex)[..., 0]
+    else:
+        M = draw(hnp.arrays(np.float64, shape, elements=floats))
+    (q, _), (r, _) = rows, cols
+    return _BlockForm(M[:q, :r], M[q:, :r], M[:q, r:], M[q:, r:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_block_forms(), st.lists(st.sampled_from(_NAMES), unique=True),
+       st.sampled_from([1, 5, 4096]))
+def test_block_windows_match_saves_of_each_block(form, names, block_rows):
+    with TemporaryDirectory() as d, mock.patch.object(mmio, "_BLOCK_ROWS", block_rows):
+        files = cli._emit_blocks(d, form, names)
+        assert list(files) == names
+        _emitted_like_saves(Path(d), files, form)
+
+
+def _transform_inputs(tmp_path, A, cells):
+    save_matrix_market(tmp_path / "a.mtx", A)
+    (tmp_path / "p.json").write_text(json.dumps({"n": len(A), "cells": cells}))
+    return str(tmp_path / "a.mtx"), str(tmp_path / "p.json")
+
+
+def _fast_range(M) -> bool:
+    """Whether _put_float writes every value of M: none is spliced."""
+    x = np.abs(np.concatenate([M.real.ravel(), M.imag.ravel()]))
+    return bool(((x == 0) | (x >= 1e-11) & (x < 1e16)).all())
+
+
+@pytest.mark.parametrize("block_rows", [5, 4096])
+@pytest.mark.parametrize("case", ["random", "singletons", "one cell", "spliced"])
+def test_transform_files_match_saves_of_the_library_blocks(tmp_path, capsys, case, block_rows):
+    rng = np.random.default_rng(8)
+    n = 23
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cells = [c.tolist() for c in np.array_split(rng.permutation(n) + 1, 5)]
+    if case == "singletons":
+        cells = [[i] for i in range(1, n + 1)]
+        A.flat[rng.choice(A.size, 8, replace=False)] = [0.0, -0.0, 1e-17, -1e-17, 1e16,
+                                                       -3e16, 1e-300, 2.5e19]
+    elif case == "one cell":
+        cells = [list(range(1, n + 1))]
+    elif case == "spliced":
+        A *= 1e16
+    matrix, partition = _transform_inputs(tmp_path, A, cells)
+    out = tmp_path / "out"
+    with mock.patch.object(mmio, "_BLOCK_ROWS", block_rows):
+        assert main(["transform", matrix, partition, "--emit", "full,E,F,D",
+                     "--out-dir", str(out)]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert list(files) == ["E", "F", "D_minus", "D_plus_conj", "A_hat"]
+    part = Partition.from_dict(json.loads(Path(partition).read_text()))
+    form = block_triangularize(load_dense(matrix), WeightedIndicator.unit(part))
+    assert form.F.shape == ((0, 0) if case == "singletons" else (n - part.k,) * 2)
+    if case in ("singletons", "spliced"):
+        assert not _fast_range(form.assembled())
+    _emitted_like_saves(tmp_path, files, form)
+
+
+@pytest.mark.parametrize("block_rows", [5, 4096])
+@pytest.mark.parametrize("scale", [1.0, 1e16])
+def test_rect_files_match_saves_of_the_library_blocks(tmp_path, capsys, block_rows, scale):
+    rng = np.random.default_rng(9)
+    sides = {"left": ([3, 4, 2], [1, 2, 2]), "right": ([2, 3, 4], [1, 2, 1])}
+    W = {side: assemble_block_diagonal([rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
+                                        for a, b in zip(*sizes)])
+         for side, sizes in sides.items()}
+    A = scale * rng.normal(size=(9, 9))
+    paths = []
+    for name, M in (("a", A), ("wm", W["left"]), ("wp", W["right"])):
+        save_matrix_market(tmp_path / f"{name}.mtx", M)
+        paths.append(str(tmp_path / f"{name}.mtx"))
+    (tmp_path / "s.json").write_text(json.dumps({
+        "left": {"m_sizes": sides["left"][0], "q_sizes": sides["left"][1]},
+        "right": {"n_sizes": sides["right"][0], "r_sizes": sides["right"][1]}}))
+    with mock.patch.object(mmio, "_BLOCK_ROWS", block_rows):
+        assert main(["rect", paths[0], str(tmp_path / "s.json"), *paths[1:],
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert list(files) == ["E", "D_minus", "D_plus_conj", "F"]
+    form = rect_transform(A, block_svd(split_block_diagonal(W["left"], *sides["left"])),
+                          block_svd(split_block_diagonal(W["right"], *sides["right"])))
+    if scale > 1:
+        assert not _fast_range(form.assembled())
+    _emitted_like_saves(tmp_path, files, form)
+
+
+@pytest.mark.parametrize("emit, names", [("E", ["E"]), ("F", ["F"]),
+                                         ("D", ["D_minus", "D_plus_conj"])])
+def test_emitting_blocks_alone_formats_only_their_rows(tmp_path, capsys, monkeypatch, emit, names):
+    rng = np.random.default_rng(10)
+    n, k = 40, 4
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cells = [c.tolist() for c in np.array_split(rng.permutation(n) + 1, k)]
+    matrix, partition = _transform_inputs(tmp_path, A, cells)
+    formatted, put_float = [], mmio._put_float
+    monkeypatch.setattr(mmio, "_put_float", lambda out, x: formatted.append(len(x))
+                        or put_float(out, x))
+    assert main(["transform", matrix, partition, "--emit", emit,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert list(files) == names
+    form = block_triangularize(A, WeightedIndicator.unit(Partition.from_dict(
+        {"n": n, "cells": cells})))
+    # real and imaginary parts of each entry of the emitted blocks, once
+    assert sum(formatted) == 2 * sum(getattr(form, name).size for name in names)
+    monkeypatch.setattr(mmio, "_put_float", put_float)
+    _emitted_like_saves(tmp_path, files, form)
+
+
+def test_block_emission_memory_is_bounded(tmp_path):
+    # the five files of transform --emit full,E,F,D once took A_hat assembled
+    # and a column-major copy of it, two N x N arrays
+    n, k = 600, 10
+    M = np.random.default_rng(11).normal(size=(n, n, 2)).view(complex)[..., 0]
+    form = _BlockForm(*(np.ascontiguousarray(B) for B in (M[:k, :k], M[k:, :k], M[:k, k:],
+                                                          M[k:, k:])))
+    tracemalloc.start()
+    try:
+        cli._emit_blocks(tmp_path, form, _NAMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes
+    assert (tmp_path / "A_hat.mtx").read_bytes().count(b"\n") == n * n + 2
