@@ -11,9 +11,9 @@ one np.loadtxt reads.
 Then it writes the five files of `equitile transform --emit full,E,F,D`
 for a 600x600 complex block form with k=10 (A_hat, E, D_minus,
 D_plus_conj, F) in one pass, as the command line does, and again with
-one save_matrix_market per block and of A_hat assembled, and prints for
-each the time per value written (best of --repeats) and the traced peak
-of one extra run. Every file of the one pass must be byte-identical to
+one save_matrix_market of A_hat and of each block, and prints for each
+the time per value written (best of --repeats) and the traced peak of
+one extra run. Every file of the one pass must be byte-identical to
 its save. The script fails on any mismatch.
 
     PYTHONPATH=src python scripts/mmio_timing.py
@@ -72,15 +72,13 @@ def _loads(out: Path, rng, repeats: int) -> None:
 
 def _emission(out: Path, rng, repeats: int, n: int = 600, k: int = 10) -> None:
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    form = _BlockForm(*(np.ascontiguousarray(B)
-                        for B in (M[:k, :k], M[k:, :k], M[:k, k:], M[k:, k:])))
+    form = _BlockForm(M, k, k)
     one_pass, per_block = out / "one_pass", out / "per_block"
     per_block.mkdir(exist_ok=True)
 
     def save_each():
         for name in NAMES:
-            B = form.assembled() if name == "A_hat" else getattr(form, name)
-            save_matrix_market(per_block / f"{name}.mtx", B)
+            save_matrix_market(per_block / f"{name}.mtx", getattr(form, name))
 
     values = 2 * 2 * M.size  # each entry twice (in A_hat and in its block), two parts
     for label, step in (("one pass", lambda: _emit_blocks(one_pass, form, NAMES)),

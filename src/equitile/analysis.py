@@ -25,8 +25,8 @@ from .partition import (
     _scaled,
     _square,
 )
-from .triangularize import (DeviationMatrix, TriangularizationResult, _is_hermitian,
-                            _singular_values)
+from .triangularize import (DeviationMatrix, TriangularizationResult, _hermitian_part,
+                            _is_hermitian, _singular_values)
 
 #: a column counts as nonzero when its norm exceeds this times the
 #: Frobenius norm of the whole matrix
@@ -151,7 +151,7 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
     A = _square(A, r.n)
     if not _is_hermitian(A, WEYL_HERMITIAN_RTOL):
         raise InputError("Weyl bound requires a Hermitian matrix")
-    lam = np.sort(np.linalg.eigvalsh((A + A.conj().T) / 2.0))
+    lam = np.sort(np.linalg.eigvalsh(_hermitian_part(A)))
     mu = np.sort(np.concatenate(r.spectra).real)
     gap = float(np.abs(mu - lam).max()) if lam.size else 0.0
     slack = slack_rtol * _frobenius(lam)

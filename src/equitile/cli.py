@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import WEYL_HERMITIAN_RTOL, deviation_report, weyl_check
+from .analysis import deviation_report, weyl_check
 from .errors import (
     AdmissibilityError,
     EquitileError,
@@ -38,7 +38,6 @@ from .partition import (
 from .rectangular import _deviations, block_svd, rect_transform, split_block_diagonal
 from .triangularize import (
     DeviationMatrix,
-    _is_hermitian,
     _singular_values,
     block_triangularize,
     recover_eigenvector,
@@ -157,15 +156,13 @@ def _target(out_dir, name: str) -> str:
 def _emit_blocks(out_dir, result, names) -> dict:
     """Write the named windows of result's A_hat = [[E, D_plus_conj],
     [D_minus, F]] (A_hat the whole) in one pass; name -> path, in order."""
-    q, r = result.E.shape
-    m, n = q + result.F.shape[0], r + result.F.shape[1]
+    q, r, (m, n) = result.q, result.r, result.A_hat.shape
     windows = {"A_hat": (range(m), range(n)), "E": (range(q), range(r)),
                "D_minus": (range(q, m), range(r)), "D_plus_conj": (range(q), range(r, n)),
                "F": (range(q, m), range(r, n))}
     files = {name: _target(out_dir, name) for name in names}
-    field = "complex" if np.iscomplexobj(result.E) else "real"
-    _write_blocks((result.E, result.D_minus, result.D_plus_conj, result.F),
-                  {files[name]: windows[name] for name in names}, field)
+    field = "complex" if np.iscomplexobj(result.A_hat) else "real"
+    _write_blocks(result.A_hat, {files[name]: windows[name] for name in names}, field)
     return files
 
 
@@ -290,8 +287,10 @@ def cmd_split(args) -> int:
     A, wi, _ = _load_inputs(args)
     result = block_triangularize(A, wi)
     split = spectrum_split(result, tol=args.tol)
-    hermitian = _is_hermitian(A, WEYL_HERMITIAN_RTOL)
-    weyl_holds = weyl_check(A, result).holds if hermitian else None
+    try:
+        weyl_holds = weyl_check(A, result).holds
+    except InputError:  # A is not Hermitian, which the bound requires
+        weyl_holds = None
     report = {
         "eigs_E": _cplx_vector(split.eigs_E),
         "eigs_F": _cplx_vector(split.eigs_F),
@@ -331,7 +330,7 @@ def cmd_rect(args) -> int:
     files = _emit_blocks(args.out_dir, result, ["E", "D_minus", "D_plus_conj", "F"])
 
     sv_A = _singular_values(A)
-    sv_Ah = _singular_values(result.assembled())
+    sv_Ah = _singular_values(result.A_hat)
     report = {
         "command": "rect",
         "argv": _echo_args(args),

@@ -16,17 +16,16 @@ about _BLOCK_ROWS table rows at a time, written as bytes to files opened in
 binary mode; in array real and complex files _put_float writes x = 0 and
 10**-11 <= |x| < 10**16 exactly with numpy integer arithmetic, and other
 rows are formatted by their template and spliced in. Those files are
-windows (a row range by a column range) of a block form
-A_hat = [[E, D_plus_conj], [D_minus, F]], written by _write_blocks in one
-pass that never assembles A_hat and formats each value some window holds
-once; a saved matrix is the one window of a form whose other blocks are
-empty. A body is read by one ``np.loadtxt`` and scattered in one step,
-but an array general real or complex body whose every line is the writer's
-with two-digit exponents is parsed by _parse_block, in about 110-170 ns a
-value against loadtxt's 320-600. Eisel-Lemire rounds each value correctly
-from a truncated 128-bit product unless it flags the value ambiguous, and
-float() parses those: every value is loadtxt's bit for bit, as both round
-correctly. A body with any other byte goes to loadtxt whole.
+windows (a row range by a column range) of one matrix, written by
+_write_blocks in one pass that formats each value some window holds once;
+a saved matrix is its own one window. A body is read by one ``np.loadtxt``
+and scattered in one step, but an array general real or complex body whose
+every line is the writer's with two-digit exponents is parsed by
+_parse_block, in about 110-170 ns a value against loadtxt's 320-600.
+Eisel-Lemire rounds each value correctly from a truncated 128-bit product
+unless it flags the value ambiguous, and float() parses those: every value
+is loadtxt's bit for bit, as both round correctly. A body with any other
+byte goes to loadtxt whole.
 """
 from __future__ import annotations
 
@@ -271,9 +270,8 @@ def save_matrix_market(path, M, fmt: str = "array", field: str | None = None) ->
         field = "complex" if np.iscomplexobj(M) else "integer" if M.dtype.kind in "iu" else "real"
     if field not in _FIELDS:
         raise InputError(f"unsupported field {field!r}")
-    if fmt == "array" and field != "integer":  # M as the lead block of an empty block form
-        _write_blocks((M, M[:0], M[:, :0], M[:0, :0]),
-                      {path: (range(M.shape[0]), range(M.shape[1]))}, field)
+    if fmt == "array" and field != "integer":  # M as its own one window
+        _write_blocks(M, {path: (range(M.shape[0]), range(M.shape[1]))}, field)
         return
     coordinate = fmt == "coordinate"
     table = list(np.nonzero(M)) if coordinate else []
@@ -298,18 +296,17 @@ def _header(fmt: str, field: str, sizes: tuple) -> bytes:
     return f"%%MatrixMarket matrix {fmt} {field} general\n{' '.join(map(str, sizes))}\n".encode()
 
 
-def _write_blocks(blocks, files: dict, field: str) -> None:
-    """Write windows of A_hat = [[E, D_plus_conj], [D_minus, F]] as array files, in one pass.
+def _write_blocks(M, files: dict, field: str) -> None:
+    """Write windows of the 2-d array M as array files, in one pass.
 
-    blocks are (E, D_minus, D_plus_conj, F); files maps each path to its
-    window (rows, cols), two ranges of A_hat's indices; field is "real" or
-    "complex". A_hat is never assembled. Its columns are walked in order,
+    files maps each path to its window (rows, cols), two ranges of M's
+    indices; field is "real" or "complex". M's columns are walked in order,
     in bands over which the same files are open; in a band, the rows from
     the first any of them holds to the last one any holds are taken in
     column-major order, _BLOCK_ROWS at a time (whole columns, or one
-    column cut in pieces), copied from the blocks and formatted once. Each
-    file takes its rows' bytes as runs cut at line offsets, one a column,
-    or the whole chunk when its window holds every row of it.
+    column cut in pieces), copied from M and formatted once. Each file
+    takes its rows' bytes as runs cut at line offsets, one a column, or
+    the whole chunk when its window holds every row of it.
     """
     line = _SPECS[field] + "\n"
     with ExitStack() as stack:
@@ -331,7 +328,7 @@ def _write_blocks(blocks, files: dict, field: str) -> None:
                 j1 = min(j0 + step, c1)
                 for i0 in range(r0, r1, _BLOCK_ROWS):
                     i1 = min(i0 + _BLOCK_ROWS, r1)
-                    x = _window(blocks, range(i0, i1), range(j0, j1)).ravel()
+                    x = M[i0:i1, j0:j1].T.ravel()
                     values = [np.asarray(x.real, dtype=np.float64)]
                     if field == "complex":
                         values.append(np.asarray(x.imag, dtype=np.float64))
@@ -345,21 +342,6 @@ def _write_blocks(blocks, files: dict, field: str) -> None:
                             for start, end in zip(offsets[column + a].tolist(),
                                                   offsets[column + b].tolist()):
                                 fh.write(view[start:end])
-
-
-def _window(blocks, rows: range, cols: range) -> np.ndarray:
-    """A_hat[rows, cols].T, a new C-contiguous array, copied from the blocks
-    (E, D_minus, D_plus_conj, F) of A_hat = [[E, D_plus_conj], [D_minus, F]]."""
-    E, D_minus, D_plus_conj, F = blocks
-    q, r = E.shape
-    out = np.empty((len(cols), len(rows)), dtype=np.result_type(*blocks))
-    for B, i0, j0 in ((E, 0, 0), (D_minus, q, 0), (D_plus_conj, 0, r), (F, q, r)):
-        a, b = max(rows.start, i0), min(rows.stop, i0 + B.shape[0])
-        c, d = max(cols.start, j0), min(cols.stop, j0 + B.shape[1])
-        if a < b and c < d:
-            out[c - cols.start:d - cols.start, a - rows.start:b - rows.start] = \
-                B[a - i0:b - i0, c - j0:d - j0].T
-    return out
 
 
 def _format_rows(values: list, line: str, cut: bool) -> tuple[bytes, np.ndarray | None]:

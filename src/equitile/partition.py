@@ -47,7 +47,8 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 def _square(A, n: int | None = None) -> np.ndarray:
-    """A as an array, checked to be square and, when n is given, n-by-n.
+    """A as a finite array (_finite), checked to be square and, when n is
+    given, n-by-n.
 
     The dtype is kept: aggregate paths cast one row block at a time.
     """
@@ -56,6 +57,13 @@ def _square(A, n: int | None = None) -> np.ndarray:
         raise InputError(f"square matrix required, got shape {A.shape}")
     if n is not None and A.shape[0] != n:
         raise InputError(f"matrix size {A.shape[0]} != partition size {n}")
+    return _finite(A)
+
+
+def _finite(A: np.ndarray) -> np.ndarray:
+    """A, unless it holds a NaN or an infinity (integer and bool arrays cannot)."""
+    if A.dtype.kind not in "iub" and not np.isfinite(A).all():
+        raise InputError("matrix entries must be finite")
     return A
 
 
@@ -380,9 +388,12 @@ def _cell_weights(wi: WeightedIndicator) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _largest(X: np.ndarray) -> float:
-    """The largest |Re| or |Im| of X, from maxima and minima: no temporary."""
+    """The largest |Re| or |Im| of X, from maxima and minima: no temporary.
+
+    A Python float, so that comparing it with a double bound never casts the
+    bound to the dtype of X (2^400 overflows float32)."""
     parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
-    return max(max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts)
+    return float(max(max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts))
 
 
 def _scaled(X: np.ndarray) -> tuple[np.ndarray, int]:

@@ -20,13 +20,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, RankDeficiencyError
+from .partition import _finite, _index
 
 #: per-block rank test: smallest singular value must exceed this times the largest
 RANK_RTOL = 1e-10
 
 
+def _counts(sizes) -> list[int]:
+    """sizes as ints, each an integer by the rule of partition._index, else InputError."""
+    try:
+        return [_index(s) for s in sizes]
+    except TypeError as exc:
+        raise InputError(f"block sizes must be integers: {exc}") from None
+
+
 def padded_identity(n: int, r: int) -> np.ndarray:
     """The n-by-r matrix (I_r; 0): columns are the first r basis vectors."""
+    n, r = _counts((n, r))
     if not 0 < r <= n:
         raise InputError(f"need 0 < r <= n, got r={r}, n={n}")
     return np.eye(n, r)
@@ -49,8 +59,7 @@ def omega_nr_permutation(r_sizes: Sequence[int], n_sizes: Sequence[int]) -> np.n
     as a row permutation it turns the block diagonal padded identity into
     the plain padded identity.
     """
-    r_sizes = [int(s) for s in r_sizes]
-    n_sizes = [int(s) for s in n_sizes]
+    r_sizes, n_sizes = _counts(r_sizes), _counts(n_sizes)
     if len(r_sizes) != len(n_sizes) or not n_sizes:
         raise InputError("size lists must be non-empty and of equal length")
     for ri, ni in zip(r_sizes, n_sizes):
@@ -74,11 +83,7 @@ def _coerce_matrix(A, shape: tuple[int, int] | None = None) -> np.ndarray:
         raise InputError(f"2-d matrix required, got shape {A.shape}")
     if shape is not None and A.shape != shape:
         raise InputError(f"matrix shape {A.shape} does not match the sides {shape}")
-    if A.dtype.kind in "iub":
-        A = A.astype(np.float64)
-    if not np.all(np.isfinite(A)):
-        raise InputError("matrix entries must be finite")
-    return A
+    return A.astype(np.float64) if A.dtype.kind in "iub" else _finite(A)
 
 
 def _coerce_block(W) -> np.ndarray:
@@ -265,30 +270,27 @@ def deviation_rect(A, wm_blocks: Sequence[np.ndarray],
 
 @dataclass(frozen=True, eq=False)
 class _BlockForm:
-    """The four blocks of a gathered transform [[E, D_plus_conj], [D_minus, F]]."""
+    """A gathered transform A_hat = [[E, D_plus_conj], [D_minus, F]], stored once.
 
-    E: np.ndarray
-    D_minus: np.ndarray
-    D_plus_conj: np.ndarray
-    F: np.ndarray
+    A_hat is made read-only; its blocks are read-only views of it, cut after
+    the q lead rows and r lead columns.
+    """
+
+    A_hat: np.ndarray
+    q: int
+    r: int
+
+    def __post_init__(self):
+        self.A_hat.setflags(write=False)
+
+    E = property(lambda self: self.A_hat[:self.q, :self.r])
+    D_minus = property(lambda self: self.A_hat[self.q:, :self.r])
+    D_plus_conj = property(lambda self: self.A_hat[:self.q, self.r:])
+    F = property(lambda self: self.A_hat[self.q:, self.r:])
 
     def assembled(self) -> np.ndarray:
-        return np.block([[self.E, self.D_plus_conj], [self.D_minus, self.F]])
-
-
-def _gather_blocks(M: np.ndarray, row_omega: np.ndarray, col_omega: np.ndarray,
-                   q: int, r: int) -> tuple[np.ndarray, ...]:
-    """E, D_minus, D_plus_conj and F of M, as read-only copies.
-
-    Rows and columns are gathered by the forward maps row_omega and
-    col_omega, then cut after q rows and r columns.
-    """
-    rows, cols = np.argsort(row_omega), np.argsort(col_omega)
-    blocks = tuple(M[np.ix_(a, b)] for a, b in ((rows[:q], cols[:r]), (rows[q:], cols[:r]),
-                                                 (rows[:q], cols[r:]), (rows[q:], cols[r:])))
-    for B in blocks:
-        B.setflags(write=False)
-    return blocks
+        """A_hat itself, not a copy."""
+        return self.A_hat
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,10 +302,7 @@ class RectResult(_BlockForm):
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (
-            self.E.shape[0] + self.F.shape[0],
-            self.E.shape[1] + self.F.shape[1],
-        )
+        return self.A_hat.shape
 
     def rayleigh_quotient(self) -> np.ndarray:
         """E0 = V_left E V_right', recovered from the stored factors."""
@@ -321,5 +320,5 @@ def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
     M = A.astype(np.result_type(A.dtype, *(u.dtype for u in left.u_blocks + right.u_blocks)))
     _blockwise(left.u_blocks, M, M, adjoint=True)
     _blockwise(right.u_blocks, M, M, right=True)
-    return RectResult(*_gather_blocks(M, left.omega, right.omega, left.q, right.q),
-                      left=left, right=right)
+    return RectResult(M[np.ix_(np.argsort(left.omega), np.argsort(right.omega))],
+                      left.q, right.q, left=left, right=right)

@@ -8,8 +8,8 @@ permutation turn A into
 
 where E is k-by-k and unitarily similar to the Rayleigh quotient, and the
 off-diagonal blocks carry exactly the singular values of the front/rear
-deviation matrices. Everything is exact: assembling the four blocks
-reproduces the transformed matrix, which is unitarily similar to A.
+deviation matrices. Everything is exact: A_hat is stored once, unitarily
+similar to A, and its four blocks are read-only views of it.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .partition import (
     require_admissible,
     suitable_indexing_permutation,
 )
-from .rectangular import _BlockForm, _gather_blocks, omega_nr_permutation
+from .rectangular import _BlockForm, omega_nr_permutation
 from .reflector import BlockReflector, _as_vector, _build
 
 #: E or F counts as Hermitian, and is solved by eigvalsh, when
@@ -116,17 +116,13 @@ def omega_permutation(n_sizes: Sequence[int]) -> np.ndarray:
     For block sizes (n_1, .., n_k), position offset_i maps to i, and the
     remaining indices keep their relative order in the trailing positions.
     """
-    sizes = [int(s) for s in n_sizes]
-    if len(sizes) == 0:
-        raise InputError("at least one block size required")
-    if any(s < 1 for s in sizes):
-        raise InputError(f"block sizes must be positive, got {sizes}")
-    return omega_nr_permutation([1] * len(sizes), sizes)
+    n_sizes = list(n_sizes)
+    return omega_nr_permutation([1] * len(n_sizes), n_sizes)
 
 
 @dataclass(frozen=True, eq=False)
 class TriangularizationResult(_BlockForm):
-    """The four blocks of Omega' H' P' A P H Omega plus all transforms.
+    """A_hat = Omega' H' P' A P H Omega, cut after q = r = k, plus all transforms.
 
     pre_permutation is the suitable-indexing relabeling applied first,
     omega the block-gathering map; both are forward maps. The reflector
@@ -140,11 +136,11 @@ class TriangularizationResult(_BlockForm):
 
     @property
     def n(self) -> int:
-        return self.E.shape[0] + self.F.shape[0]
+        return self.A_hat.shape[0]
 
     @property
     def k(self) -> int:
-        return self.E.shape[0]
+        return self.q
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,19 +185,19 @@ def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> Triangulariz
     """
     p = wi.partition
     A = _square(A, p.n)
-    k = p.k
-    sizes = p.sizes
 
     perm = suitable_indexing_permutation(p)
     inv = np.argsort(perm)
     contiguous = Partition._of(np.arange(p.n), p.starts)
     refl = build_block_reflector(WeightedIndicator(contiguous, wi.weights[inv]), phases)
 
-    # the one N-by-N working array: the relabelled copy, conjugated in place
+    # the N-by-N working array: the relabelled copy, conjugated in place and
+    # gathered once into A_hat
     At = refl._conjugate_in_place(refl._cast(A[np.ix_(inv, inv)], 0, copy=False))
-    om = omega_permutation(sizes)
+    om = omega_permutation(p.sizes)
+    gather = np.argsort(om)
     return TriangularizationResult(
-        *_gather_blocks(At, om, om, k, k),
+        At[np.ix_(gather, gather)], p.k, p.k,
         reflector=refl,
         omega=om,
         pre_permutation=perm,
@@ -224,11 +220,20 @@ def recover_eigenvector(r: TriangularizationResult, z_hat) -> np.ndarray:
 def _is_hermitian(M: np.ndarray, rtol: float) -> bool:
     """max|M - M'| <= rtol * max(1, max|M|); a NaN entry makes it False."""
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    # M - M' here and (M + M')/2 in _eigvals are each formed in one array of
-    # the size of M: these temporaries set the peak memory of spectrum_split
+    # M - M' here and (M + M')/2 in _hermitian_part are each formed in one
+    # array of the size of M: these temporaries set the peak memory of
+    # spectrum_split
     D = np.conj(M.T)
     np.subtract(M, D, out=D)
     return bool(np.abs(D).max(initial=0.0) <= rtol * scale)
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M')/2 as a new floating array, formed in place of M'."""
+    H = np.conj(M.T, dtype=np.result_type(M.dtype, 2.0))
+    H += M
+    H /= 2.0
+    return H
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:
@@ -244,10 +249,7 @@ def _eigvals(M: np.ndarray, pair=None) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     try:
         if _is_hermitian(M, EIG_HERMITIAN_RTOL):
-            H = np.conj(M.T)
-            H += M
-            H /= 2.0
-            return np.linalg.eigvalsh(H).astype(complex)
+            return np.linalg.eigvalsh(_hermitian_part(M)).astype(complex)
         return np.linalg.eigvals(M) if pair is None else pair[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc

@@ -921,8 +921,8 @@ def test_hand_edited_bodies_read_as_by_loadtxt(tmp_path, name, writer_shaped):
 # --- windows of a block form, written in one pass ------------------------------
 #
 # The CLI writes A_hat = [[E, D_plus_conj], [D_minus, F]] and its blocks with one
-# _write_blocks call, which walks A_hat once without assembling it and formats
-# each value once. Every file must be byte for byte save_matrix_market's, and
+# _write_blocks call, which walks the stored A_hat once and formats each value
+# once. Every file must be byte for byte save_matrix_market's, and
 # the per-entry reference writer's, of the matrix it holds; _BLOCK_ROWS of 1
 # and 5 put chunk edges inside every window.
 
@@ -932,7 +932,7 @@ _NAMES = ("A_hat", "E", "D_minus", "D_plus_conj", "F")
 def _emitted_like_saves(out, files: dict, form):
     """Each emitted file against save_matrix_market and the reference writer."""
     for name, path in files.items():
-        M = form.assembled() if name == "A_hat" else getattr(form, name)
+        M = getattr(form, name)
         save_matrix_market(out / "save.mtx", M)
         reference_save_matrix_market(out / "ref.mtx", M)
         got = Path(path).read_bytes()
@@ -950,7 +950,7 @@ def _block_forms(draw):
     else:
         M = draw(hnp.arrays(np.float64, shape, elements=floats))
     (q, _), (r, _) = rows, cols
-    return _BlockForm(M[:q, :r], M[q:, :r], M[:q, r:], M[q:, r:])
+    return _BlockForm(M, q, r)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1061,8 +1061,7 @@ def test_block_emission_memory_is_bounded(tmp_path):
     # and a column-major copy of it, two N x N arrays
     n, k = 600, 10
     M = np.random.default_rng(11).normal(size=(n, n, 2)).view(complex)[..., 0]
-    form = _BlockForm(*(np.ascontiguousarray(B) for B in (M[:k, :k], M[k:, :k], M[:k, k:],
-                                                          M[k:, k:])))
+    form = _BlockForm(M, k, k)
     tracemalloc.start()
     try:
         cli._emit_blocks(tmp_path, form, _NAMES)

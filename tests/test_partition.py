@@ -786,3 +786,45 @@ class TestScaledCellNorms:
         wl, e, norms2 = partition._cell_weights(wi)
         assert not e.any() and np.array_equal(wl, w[p.order])
         assert np.array_equal(wi.cell_norms2(), np.add.reduceat(w[p.order] ** 2, p.starts))
+
+
+def _square_entry_points():
+    """Every public entry point that takes a square A, as f(A) on a 4x4 A."""
+    p = eq.Partition.from_cells([[0, 1], [2, 3]])
+    wi = eq.WeightedIndicator(p, [1.0, 2.0, 1.0, -1.0])
+    finite = eq.block_triangularize(np.eye(4), wi)
+    return {
+        "check_equitable": lambda A: eq.check_equitable(A, wi),
+        "check_equitable rear": lambda A: eq.check_equitable(A, wi, side="rear"),
+        "epsilon_equitability": lambda A: eq.epsilon_equitability(A, p),
+        "check_regular_equivalence": lambda A: eq.check_regular_equivalence(A, p),
+        "coarsest_front_equitable_refinement":
+            lambda A: eq.coarsest_front_equitable_refinement(A),
+        "weighted_refinement": lambda A: eq.weighted_refinement(A, [1.0, 2.0, 1.0, -1.0]),
+        "block_triangularize": lambda A: eq.block_triangularize(A, wi),
+        "generalized_quotient": lambda A: eq.generalized_quotient(A, wi, 0.0),
+        "deviation_matrices": lambda A: eq.deviation_matrices(A, wi),
+        "theta_residual": lambda A: eq.theta_residual(A, wi, np.zeros((2, 2))),
+        "weyl_check": lambda A: eq.weyl_check(A, finite),
+        "BlockReflector.conjugate": lambda A: eq.build_block_reflector(wi).conjugate(A),
+    }
+
+
+class TestNonFiniteMatrix:
+    """A NaN or an infinity in A is an input error, never a NaN verdict."""
+
+    ENTRY_POINTS = _square_entry_points()
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_refused(self, name, bad):
+        A = np.eye(4, dtype=type(bad))
+        A[1, 2] = A[2, 1] = bad
+        with pytest.raises(InputError, match="finite"):
+            self.ENTRY_POINTS[name](A)
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+    def test_finite_accepted(self, name, dtype):
+        self.ENTRY_POINTS[name](np.eye(4, dtype=dtype))

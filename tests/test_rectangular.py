@@ -455,3 +455,63 @@ def _assert_sv_match(D, T):
     m = len(sD)
     assert np.abs(sD - sT[:m]).max() <= 1e-11 * scale
     assert np.all(sT[m:] <= 1e-11 * scale)
+
+
+class TestBlockSizes:
+    """Sizes are integers by the package's rule: floats and bools are refused."""
+
+    CALLS = {
+        "omega_permutation": lambda s: eq.omega_permutation([s, 1]),
+        "omega_nr_permutation r": lambda s: eq.omega_nr_permutation([s], [3]),
+        "omega_nr_permutation n": lambda s: eq.omega_nr_permutation([1], [s]),
+        "padded_identity n": lambda s: eq.padded_identity(s, 1),
+        "padded_identity r": lambda s: eq.padded_identity(3, s),
+        "block_padded_identity": lambda s: eq.block_padded_identity([3, s], [1, 1]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, np.bool_(True)])
+    def test_non_integers_refused(self, call, bad):
+        with pytest.raises(InputError, match="integers"):
+            self.CALLS[call](bad)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("size", [2, np.int64(2), np.int32(2), np.uint8(2)])
+    def test_integers_accepted(self, call, size):
+        assert np.array_equal(self.CALLS[call](size), self.CALLS[call](2))
+
+    @pytest.mark.parametrize("sizes", [[2, 0], [-1], np.array([3, 0])])
+    def test_omega_permutation_refuses_non_positive_sizes(self, sizes):
+        with pytest.raises(InputError):
+            eq.omega_permutation(sizes)
+
+
+def _square_form(rng):
+    n = 9
+    p = random_partition(rng, n, k=3)
+    return eq.block_triangularize(random_complex_matrix(rng, n),
+                                  eq.WeightedIndicator(p, random_weights(rng, p)))
+
+
+def _rect_form(rng):
+    left = eq.block_svd([random_complex_matrix(rng, 3, 1), random_complex_matrix(rng, 4, 2)])
+    right = eq.block_svd([random_complex_matrix(rng, 2, 1), random_complex_matrix(rng, 3, 2)])
+    return eq.rect_transform(random_complex_matrix(rng, left.m, right.m), left, right)
+
+
+@pytest.mark.parametrize("build", [_square_form, _rect_form])
+def test_blocks_are_read_only_views_of_one_stored_array(rng, build):
+    res = build(rng)
+    A_hat = res.assembled()
+    assert A_hat is res.A_hat
+    blocks = (res.E, res.D_plus_conj, res.D_minus, res.F)
+    assert not A_hat.flags.writeable
+    for B in blocks:
+        assert not B.flags.writeable
+        assert np.shares_memory(B, A_hat)
+        with pytest.raises(ValueError):
+            B[...] = 0
+    assert res.E.shape == (res.q, res.r) and 0 not in res.F.shape
+    # the blocks are the four windows of the assembled form, as before
+    (E, Dp), (Dm, F) = blocks[:2], blocks[2:]
+    assert np.array_equal(np.block([[E, Dp], [Dm, F]]), A_hat)
