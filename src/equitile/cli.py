@@ -7,6 +7,8 @@ reports as JSON on stdout. Exit codes: 0 success, 2 input/parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -443,6 +445,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # glibc raises its mmap threshold after large frees, so a command's peak RSS moved by one
+    # N-by-N array with heap history: fix M_MMAP_THRESHOLD (-3) at its default 128 KiB
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)
     sys.exit(main())
 
 
