@@ -44,16 +44,7 @@ from .rectangular import (
     rayleigh_quotient_rect,
     rect_transform,
 )
-from .reflector import (
-    BlockReflector,
-    ElementaryUnitary,
-    apply_left,
-    apply_right,
-    beta0,
-    build_reflector,
-    dense,
-    gamma,
-)
+from .reflector import BlockReflector, beta0, build_reflector, gamma
 from .triangularize import (
     DeviationMatrix,
     QuotientMatrix,

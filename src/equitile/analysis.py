@@ -22,6 +22,7 @@ from .partition import (
     _deviation,
     _frobenius,
     _layout,
+    _matrix,
     _scaled,
     _square,
 )
@@ -35,6 +36,9 @@ NONZERO_COLUMN_RTOL = 1e-13
 #: weyl_check (and `equitile split`) takes A as Hermitian when
 #: max|A - A'| <= WEYL_HERMITIAN_RTOL * max(1, max|A|)
 WEYL_HERMITIAN_RTOL = 1e-10
+
+#: weyl_check's slack over the bound, relative to ||A||_F
+WEYL_SLACK_RTOL = 1e-10
 
 _NORM_ALIASES = {
     "fro": "frobenius",
@@ -70,7 +74,7 @@ class DeviationReport:
             "spectral": self.spectral,
             "nuclear": self.nuclear,
             "nonzero_columns": self.nonzero_columns,
-            "per_block": [[float(x) for x in row] for row in self.per_block_norms],
+            "per_block": self.per_block_norms.tolist(),
         }
 
 
@@ -114,9 +118,7 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
     if kind is None:
         raise InputError(f"unknown norm kind {norm_kind!r}")
     k = wi.partition.k
-    Theta = np.asarray(Theta)
-    if Theta.shape != (k, k):
-        raise InputError(f"Theta must be {k}x{k}, got {Theta.shape}")
+    Theta = _matrix(Theta, (k, k))
     s = _Sums(A, wi)
     if side == "rear":
         Theta = Theta.conj().T
@@ -137,15 +139,14 @@ class PerturbationCheck:
     holds: bool
 
 
-def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
-               ) -> PerturbationCheck:
+def weyl_check(A, r: TriangularizationResult) -> PerturbationCheck:
     """Verify |mu_i - lambda_i| <= tau for Hermitian A.
 
     mu is the sorted real part of the joint spectrum of E and F (r.spectra),
     lambda the sorted spectrum of A, and tau = r.tau_spec the largest
     singular value over both off-diagonal blocks. Pairing is strictly by
     sorted order. Input that is not Hermitian within WEYL_HERMITIAN_RTOL is
-    refused since the bound requires Hermiticity. The slack is slack_rtol
+    refused since the bound requires Hermiticity. The slack is WEYL_SLACK_RTOL
     times ||A||_F, taken as the 2-norm of lambda (Hermitian A) at any scale.
     """
     A = _square(A, r.n)
@@ -154,7 +155,7 @@ def weyl_check(A, r: TriangularizationResult, slack_rtol: float = 1e-10
     lam = np.sort(np.linalg.eigvalsh(_hermitian_part(A)))
     mu = np.sort(np.concatenate(r.spectra).real)
     gap = float(np.abs(mu - lam).max()) if lam.size else 0.0
-    slack = slack_rtol * _frobenius(lam)
+    slack = WEYL_SLACK_RTOL * _frobenius(lam)
     mu.setflags(write=False)
     lam.setflags(write=False)
     return PerturbationCheck(joint_spectrum=mu, reference=lam, tau_spec=r.tau_spec,

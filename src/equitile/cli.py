@@ -136,17 +136,10 @@ def _read_vector(path, length: int, what: str) -> np.ndarray:
     return arr
 
 
-def _cplx(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cplx_vector(v) -> list:
-    return [_cplx(z) for z in np.asarray(v).ravel()]
-
-
-def _cplx_matrix(M) -> list:
-    return [[_cplx(z) for z in row] for row in np.asarray(M)]
+def _pairs(z) -> list:
+    """The JSON form of a real or complex array: [re, im] pairs in its shape."""
+    z = np.asarray(z)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def _target(out_dir, name: str) -> str:
@@ -156,12 +149,9 @@ def _target(out_dir, name: str) -> str:
 
 
 def _emit_blocks(out_dir, result, names) -> dict:
-    """Write the named windows of result's A_hat = [[E, D_plus_conj],
-    [D_minus, F]] (A_hat the whole) in one pass; name -> path, in order."""
-    q, r, (m, n) = result.q, result.r, result.A_hat.shape
-    windows = {"A_hat": (range(m), range(n)), "E": (range(q), range(r)),
-               "D_minus": (range(q, m), range(r)), "D_plus_conj": (range(q), range(r, n)),
-               "F": (range(q, m), range(r, n))}
+    """Write the named windows of result (see _BlockForm.windows) in one
+    pass; name -> path, in order."""
+    windows = result.windows
     files = {name: _target(out_dir, name) for name in names}
     field = "complex" if np.iscomplexobj(result.A_hat) else "real"
     _write_blocks(result.A_hat, {files[name]: windows[name] for name in names}, field)
@@ -195,16 +185,16 @@ def _print_report(report: dict, indent: int | None = 2) -> None:
 def _load_inputs(args):
     """Matrix, weighted indicator and phases of check, transform and split.
 
-    Weights default to ones and phases to "auto". Non-finite matrix
-    entries, weights or phases are an input error.
+    Weights default to ones, and phases ("auto" or a file) to None, the
+    library's default phases. Non-finite matrix entries, weights or phases
+    are an input error.
     """
     A = _read_matrix(args.matrix)
     n = A.shape[0]
     part = _read_partition(args.partition, n)
     w = _read_vector(args.weights, n, "weights") if args.weights else np.ones(n)
     phases = getattr(args, "phases", "auto")
-    if phases and phases != "auto":
-        phases = _read_vector(phases, part.k, "phases")
+    phases = None if phases == "auto" else _read_vector(phases, part.k, "phases")
     return A, WeightedIndicator(part, w), phases
 
 
@@ -259,7 +249,7 @@ def cmd_transform(args) -> int:
         save_matrix_market(files["eigvecs"], recover_eigenvector(result, Z))
 
     sums = _Sums(A, wi, keep=True)  # one front and one rear pass, released by deviations
-    quotients = {name: _cplx_matrix(sums.quotient(alpha))
+    quotients = {name: _pairs(sums.quotient(alpha))
                  for name, alpha in (("front", -1.0), ("rayleigh", 0.0), ("rear", 1.0))}
     front, rear = (DeviationMatrix(side, T, part) for side, T in sums.deviations())
     split = spectrum_split(result, tol=args.tol)
@@ -274,8 +264,8 @@ def cmd_transform(args) -> int:
             "rear": deviation_report(rear).to_dict(),
         },
         "spectrum": {
-            "eigs_E": _cplx_vector(split.eigs_E),
-            "eigs_F": _cplx_vector(split.eigs_F),
+            "eigs_E": _pairs(split.eigs_E),
+            "eigs_F": _pairs(split.eigs_F),
             "exact": split.exact,
         },
         "files": files,
@@ -294,8 +284,8 @@ def cmd_split(args) -> int:
     except InputError:  # A is not Hermitian, which the bound requires
         weyl_holds = None
     report = {
-        "eigs_E": _cplx_vector(split.eigs_E),
-        "eigs_F": _cplx_vector(split.eigs_F),
+        "eigs_E": _pairs(split.eigs_E),
+        "eigs_F": _pairs(split.eigs_F),
         "tau_spec": result.tau_spec,
         "weyl_holds": weyl_holds,
         "exact": split.exact,

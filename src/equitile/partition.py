@@ -28,6 +28,11 @@ A _Sums context holds the layout, weights and cell norms of one (A, W)
 and its front (A W) and rear (A' W) sums, each summed on first use. Each
 public reader of aggregates builds its own; a CLI run builds one, so it
 makes one pass per side. Only this module calls the kernel.
+
+_matrix and _vector are the package's checks of a matrix or vector
+argument: shape, finiteness, and the working precision. float16, float32
+and complex64 input is promoted to float64 or complex128, as a copy;
+float64, complex128, integer and bool matrices are used as given.
 """
 from __future__ import annotations
 
@@ -46,24 +51,47 @@ from .errors import AdmissibilityError, InputError
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _square(A, n: int | None = None) -> np.ndarray:
-    """A as a finite array (_finite), checked to be square and, when n is
-    given, n-by-n.
+def _matrix(A, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A as a finite 2-d array in the working precision, of the given shape if any.
 
-    The dtype is kept: aggregate paths cast one row block at a time.
+    float16, float32 and complex64 become float64 and complex128, as a copy:
+    an eigensolver or a norm in single precision overflows, or loses the
+    digits a bound is checked against. Every other dtype is kept uncopied,
+    integer and bool too: the aggregate kernel casts one row block at a time.
     """
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2:
+        raise InputError(f"2-d matrix required, got shape {A.shape}")
+    if shape is not None and A.shape != shape:
+        raise InputError(f"matrix of shape {shape} required, got {A.shape}")
+    if A.dtype.kind in "fc":
+        A = A.astype(np.result_type(A, np.float64), copy=False)
+    if A.dtype.kind not in "iub" and not np.isfinite(A).all():
+        raise InputError("matrix entries must be finite")
+    return A
+
+
+def _vector(x, n: int | None = None, what: str = "vector") -> np.ndarray:
+    """x as a finite non-empty 1-d array in the working precision of _matrix,
+    of length n if given; integer and bool entries become float64 as well,
+    since vectors are scaled in place. InputError names what x is."""
+    x = np.asarray(x)
+    if x.ndim != 1 or not x.size or (n is not None and x.size != n):
+        size = "a non-empty" if n is None else f"a length-{n}"
+        raise InputError(f"{what} must be {size} vector, got shape {x.shape}")
+    x = x.astype(np.result_type(x, np.float64), copy=False)
+    if not np.isfinite(x).all():
+        raise InputError(f"{what} entries must be finite")
+    return x
+
+
+def _square(A, n: int | None = None) -> np.ndarray:
+    """A checked by _matrix to be square and, when n is given, n-by-n."""
+    A = _matrix(A)
+    if A.shape[0] != A.shape[1]:
         raise InputError(f"square matrix required, got shape {A.shape}")
     if n is not None and A.shape[0] != n:
         raise InputError(f"matrix size {A.shape[0]} != partition size {n}")
-    return _finite(A)
-
-
-def _finite(A: np.ndarray) -> np.ndarray:
-    """A, unless it holds a NaN or an infinity (integer and bool arrays cannot)."""
-    if A.dtype.kind not in "iub" and not np.isfinite(A).all():
-        raise InputError("matrix entries must be finite")
     return A
 
 
@@ -248,16 +276,7 @@ class WeightedIndicator:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 1 or w.size != self.partition.n:
-            raise InputError(
-                f"weights must be a vector of length {self.partition.n}, got {w.shape}"
-            )
-        if w.dtype.kind in "iub":
-            w = w.astype(np.float64)
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite")
-        w = w.copy()
+        w = _vector(self.weights, self.partition.n, "weights").copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -554,8 +573,8 @@ class _Sums:
                 worst = max(worst, float(np.abs(X[c:c + step, None] - X[None]).max()))
         return worst
 
-    def regular(self, zero_tol: float = 0.0) -> bool:
-        zero = np.abs(self.sums(weighted=False)) <= zero_tol
+    def regular(self) -> bool:
+        zero = self.sums(weighted=False) == 0
         counts = np.add.reduceat(zero, self.lay.starts, axis=0, dtype=np.intp)
         return not np.any((counts > 0) & (counts < np.asarray(self.partition.sizes)[:, None]))
 
@@ -633,12 +652,12 @@ def epsilon_equitability(A, p: Partition) -> float:
     return _Sums(A, WeightedIndicator.unit(p)).epsilon()
 
 
-def check_regular_equivalence(A, p: Partition, zero_tol: float = 0.0) -> bool:
+def check_regular_equivalence(A, p: Partition) -> bool:
     """True if every block's row-sum vector is entrywise nonzero or all zero.
 
     Counts the zero row sums of every block from one aggregate pass.
     """
-    return _Sums(A, WeightedIndicator.unit(p)).regular(zero_tol)
+    return _Sums(A, WeightedIndicator.unit(p)).regular()
 
 
 def _color_groups(R: np.ndarray, labels: np.ndarray, color_tol: float
@@ -726,14 +745,10 @@ def weighted_refinement(A, w, initial: Partition | None = None,
     block by block inside the aggregate kernel, never as an N-by-N array.
     """
     A = _square(A)
-    w = np.asarray(w)
-    if w.ndim != 1 or w.size != A.shape[0]:
-        raise InputError(f"weight vector of length {A.shape[0]} required, got {w.shape}")
+    w = _vector(w, A.shape[0], "weights")
     if np.any(w == 0):
         raise InputError("weighted refinement requires entrywise nonzero weights")
-    # at least float64: the kernel scales and divides its blocks in place
-    return _refine(A, w.astype(np.result_type(w, np.float64), copy=False), initial,
-                   color_tol)
+    return _refine(A, w, initial, color_tol)
 
 
 def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,

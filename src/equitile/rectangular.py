@@ -11,6 +11,10 @@ uses only the unitary SVD factors U and gathering permutations, so it
 preserves singular values (it is not a similarity). E is unitarily
 equivalent to the two-sided Rayleigh quotient, and the off-diagonal blocks
 have the singular values of the rectangular deviation matrices.
+
+A and every side block are checked by partition._matrix, which also sets
+their working precision; a side block must in addition be non-empty and
+not wide.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, RankDeficiencyError
-from .partition import _finite, _index
+from .partition import _index, _matrix
 
 #: per-block rank test: smallest singular value must exceed this times the largest
 RANK_RTOL = 1e-10
@@ -76,18 +80,8 @@ def omega_nr_permutation(r_sizes: Sequence[int], n_sizes: Sequence[int]) -> np.n
     return out
 
 
-def _coerce_matrix(A, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """A finite 2-d array, of the given shape if any; integer entries become float64."""
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InputError(f"2-d matrix required, got shape {A.shape}")
-    if shape is not None and A.shape != shape:
-        raise InputError(f"matrix shape {A.shape} does not match the sides {shape}")
-    return A.astype(np.float64) if A.dtype.kind in "iub" else _finite(A)
-
-
 def _coerce_block(W) -> np.ndarray:
-    W = _coerce_matrix(W)
+    W = _matrix(W)
     if 0 in W.shape or W.shape[1] > W.shape[0]:
         raise InputError(f"blocks must be non-empty and not wide, got shape {W.shape}")
     return W
@@ -130,11 +124,11 @@ def assemble_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def split_block_diagonal(M, row_sizes: Sequence[int], col_sizes: Sequence[int],
-                         check: bool = True) -> list[np.ndarray]:
+def split_block_diagonal(M, row_sizes: Sequence[int], col_sizes: Sequence[int]
+                         ) -> list[np.ndarray]:
     """Cut a dense block diagonal matrix into its blocks.
 
-    With check=True, entries outside the block grid must be exactly zero.
+    Entries outside the block grid must be exactly zero.
     """
     M = np.asarray(M)
     if len(row_sizes) != len(col_sizes):
@@ -152,7 +146,7 @@ def split_block_diagonal(M, row_sizes: Sequence[int], col_sizes: Sequence[int],
         mask[ro : ro + rs, co : co + cs] = False
         ro += rs
         co += cs
-    if check and M.size and np.any(M[mask] != 0):
+    if M.size and np.any(M[mask] != 0):
         raise InputError("matrix has nonzero entries outside the block diagonal")
     return blocks
 
@@ -202,8 +196,8 @@ class BlockSVD:
         return [u[:, : v.shape[0]] @ v.conj().T for u, v in zip(self.u_blocks, self.v_blocks)]
 
 
-def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> BlockSVD:
-    """Full SVD of every block; rejects blocks without full column rank."""
+def block_svd(blocks: Sequence[np.ndarray]) -> BlockSVD:
+    """Full SVD of every block; rejects blocks without full column rank (RANK_RTOL)."""
     us, sigmas, vs = [], [], []
     for idx, W in enumerate(blocks):
         W = _coerce_block(W)
@@ -211,7 +205,7 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
             u, s, vh = np.linalg.svd(W, full_matrices=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD of block {idx} failed: {exc}") from exc
-        if s.size == 0 or s[-1] <= rank_rtol * s[0]:
+        if s.size == 0 or s[-1] <= RANK_RTOL * s[0]:
             raise RankDeficiencyError(
                 f"block {idx} with shape {W.shape} is rank deficient "
                 f"(singular values {s})"
@@ -233,7 +227,7 @@ def block_svd(blocks: Sequence[np.ndarray], rank_rtol: float = RANK_RTOL) -> Blo
 def _factored(A, wm_blocks, wp_blocks) -> tuple[np.ndarray, BlockSVD, BlockSVD]:
     """A, checked against the side block rows before any block is factored, and both factors."""
     m, n = (sum(np.asarray(W).shape[0] for W in side) for side in (wm_blocks, wp_blocks))
-    return _coerce_matrix(A, (m, n)), block_svd(wm_blocks), block_svd(wp_blocks)
+    return _matrix(A, (m, n)), block_svd(wm_blocks), block_svd(wp_blocks)
 
 
 def _deviations(A: np.ndarray, left: BlockSVD, right: BlockSVD) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +267,7 @@ class _BlockForm:
     """A gathered transform A_hat = [[E, D_plus_conj], [D_minus, F]], stored once.
 
     A_hat is made read-only; its blocks are read-only views of it, cut after
-    the q lead rows and r lead columns.
+    the q lead rows and r lead columns. windows is the one map of where they lie.
     """
 
     A_hat: np.ndarray
@@ -283,10 +277,22 @@ class _BlockForm:
     def __post_init__(self):
         self.A_hat.setflags(write=False)
 
-    E = property(lambda self: self.A_hat[:self.q, :self.r])
-    D_minus = property(lambda self: self.A_hat[self.q:, :self.r])
-    D_plus_conj = property(lambda self: self.A_hat[:self.q, self.r:])
-    F = property(lambda self: self.A_hat[self.q:, self.r:])
+    @property
+    def windows(self) -> dict[str, tuple[range, range]]:
+        """(rows, cols) of A_hat and of each block, by name."""
+        (m, n), q, r = self.A_hat.shape, self.q, self.r
+        return {"A_hat": (range(m), range(n)), "E": (range(q), range(r)),
+                "D_minus": (range(q, m), range(r)), "D_plus_conj": (range(q), range(r, n)),
+                "F": (range(q, m), range(r, n))}
+
+    def _block(self, name: str) -> np.ndarray:
+        rows, cols = self.windows[name]
+        return self.A_hat[rows.start:rows.stop, cols.start:cols.stop]
+
+    E = property(lambda self: self._block("E"))
+    D_minus = property(lambda self: self._block("D_minus"))
+    D_plus_conj = property(lambda self: self._block("D_plus_conj"))
+    F = property(lambda self: self._block("F"))
 
     def assembled(self) -> np.ndarray:
         """A_hat itself, not a copy."""
@@ -316,7 +322,7 @@ def rect_transform(A, left: BlockSVD, right: BlockSVD) -> RectResult:
     Preserves the singular values of A; the spectrum is generally not
     preserved since the two sides are independent.
     """
-    A = _coerce_matrix(A, (left.m, right.m))
+    A = _matrix(A, (left.m, right.m))
     M = A.astype(np.result_type(A.dtype, *(u.dtype for u in left.u_blocks + right.u_blocks)))
     _blockwise(left.u_blocks, M, M, adjoint=True)
     _blockwise(right.u_blocks, M, M, right=True)

@@ -17,7 +17,8 @@ cells' unit vectors: the storage-efficient form of Schreiber & Van Loan
 (SIAM J. Sci. Stat. Comput. 10, 1989). _build makes every cell's y and c
 at once from the cells' vectors laid end to end, in a fixed number of numpy
 calls whatever the number of cells, and BlockReflector applies them.
-build_reflector and ElementaryUnitary are the one-cell case.
+build_reflector returns the one-cell BlockReflector; coeffs[0] == 0 marks
+its identity branch.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import opcount
 from .errors import InputError
 from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _layout, _pow2_scale,
-                        _square)
+                        _square, _vector)
 
 #: elementwise tolerance (relative to ||x||) for the identity branch,
 #: where the rank-one denominator vanishes exactly
@@ -40,24 +41,11 @@ PHASE_TOL = 1e-12
 _ONE_CELL = np.zeros(1, dtype=np.intp)
 
 
-def _as_vector(x) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError(f"expected a non-empty 1-d vector, got shape {x.shape}")
-    if x.dtype.kind in "iub":
-        x = x.astype(np.float64)
-    if not np.all(np.isfinite(x)):
-        raise InputError("vector entries must be finite")
-    return x
-
-
 def _check_phases(phases, k: int) -> np.ndarray:
     """The k given phases as a complex array, each finite and of unit modulus."""
-    beta = np.array(phases, dtype=complex)
-    if beta.shape != (k,):
-        raise InputError(f"expected {k} phases, got {beta.size}")
+    beta = _vector(phases, k, "phases").astype(complex)
     modulus = np.abs(beta)
-    bad = ~(np.abs(modulus - 1.0) <= PHASE_TOL)  # NaN and inf are bad too
+    bad = np.abs(modulus - 1.0) > PHASE_TOL
     if bad.any():
         raise InputError(f"phase must have unit modulus, got |beta| = {float(modulus[bad][0])!r}")
     return beta
@@ -133,7 +121,7 @@ def _build(x: np.ndarray, starts: np.ndarray, phases=None
 
 def beta0(x) -> complex:
     """Default phase choice: -conj(x[0])/|x[0]|, or 1 when x[0] = 0."""
-    return complex(_default_phases(_as_vector(x)[:1])[0])
+    return complex(_default_phases(_vector(x)[:1])[0])
 
 
 def gamma(x, beta) -> float:
@@ -142,7 +130,7 @@ def gamma(x, beta) -> float:
     gamma(x, beta) = pinv(||x|| - Re(beta*x[0])) * Im(beta*x[0]), where the
     scalar pseudo-inverse maps 0 to 0.
     """
-    x = _as_vector(x).copy()
+    x = _vector(x).copy()
     _pow2_scale(x)
     nrm = np.linalg.norm(x)
     if nrm == 0:
@@ -229,28 +217,7 @@ class BlockReflector:
         return self.matvec(np.eye(self.n))
 
 
-class ElementaryUnitary(BlockReflector):
-    """Unitary H = I + coeff * y y' with unit vector y (or H = I): the
-    BlockReflector of a single cell."""
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    @property
-    def coeff(self):
-        return self.coeffs[0]
-
-    @property
-    def kind(self) -> str:
-        return "identity" if self.coeff == 0 else "rank_one"
-
-    @property
-    def y(self) -> np.ndarray | None:
-        return None if self.kind == "identity" else self.vectors
-
-
-def build_reflector(x, beta=None) -> ElementaryUnitary:
+def build_reflector(x, beta=None) -> BlockReflector:
     """Construct the elementary unitary H with H f = (beta/||x||) x.
 
     Parameters
@@ -258,26 +225,12 @@ def build_reflector(x, beta=None) -> ElementaryUnitary:
     x : complex vector, ||x|| > 0
     beta : unit-modulus scalar, or None for the default beta0(x)
 
-    The identity branch is taken when x/||x|| equals conj(beta) f
-    elementwise within BRANCH_TOL * ||x||; there the rank-one denominator
-    vanishes exactly. H depends on the direction of x only, so x is first
-    scaled by a power of two: any finite nonzero x works. This is the
-    one-cell case of the block builder.
+    The identity branch (coeffs[0] == 0) is taken when x/||x|| equals
+    conj(beta) f elementwise within BRANCH_TOL * ||x||; there the rank-one
+    denominator vanishes exactly. H depends on the direction of x only, so
+    x is first scaled by a power of two: any finite nonzero x works. This
+    is the one-cell BlockReflector.
     """
-    x = _as_vector(x)
+    x = _vector(x)
     y, c, phases = _build(x, _ONE_CELL, None if beta is None else [beta])
-    return ElementaryUnitary(y, c, phases, Partition.single_cell(x.size))
-
-
-def apply_left(h: ElementaryUnitary, M) -> np.ndarray:
-    """H' M."""
-    return h.apply_left(M)
-
-
-def apply_right(M, h: ElementaryUnitary) -> np.ndarray:
-    """M H."""
-    return h.apply_right(M)
-
-
-def dense(h: ElementaryUnitary) -> np.ndarray:
-    return h.dense()
+    return BlockReflector(y, c, phases, Partition.single_cell(x.size))

@@ -31,7 +31,7 @@ from .partition import (
     suitable_indexing_permutation,
 )
 from .rectangular import _BlockForm, omega_nr_permutation
-from .reflector import BlockReflector, _as_vector, _build
+from .reflector import BlockReflector, _build
 
 #: E or F counts as Hermitian, and is solved by eigvalsh, when
 #: max|M - M'| <= EIG_HERMITIAN_RTOL * max(1, max|M|)
@@ -94,19 +94,16 @@ def deviation_matrices(A, wi: WeightedIndicator) -> tuple[DeviationMatrix, Devia
     return tuple(DeviationMatrix(side, T, wi.partition) for side, T in _Sums(A, wi).deviations())
 
 
-def build_block_reflector(wi: WeightedIndicator, phases="auto") -> BlockReflector:
+def build_block_reflector(wi: WeightedIndicator, phases=None) -> BlockReflector:
     """One elementary unitary per cell, all built at once from the cell weight blocks.
 
-    "auto" picks the default phase of each weight block. The result acts on
-    suitably indexed (block-contiguous) matrices.
+    phases gives one unit-modulus phase per cell, or None for the default
+    phase of each weight block. The result acts on suitably indexed
+    (block-contiguous) matrices.
     """
     require_admissible(wi)
-    if phases is None or isinstance(phases, str):
-        if phases not in (None, "auto"):
-            raise InputError(f"phases must be 'auto' or a sequence, got {phases!r}")
-        phases = None
     lay = _layout(wi.partition)
-    y, c, betas = _build(_as_vector(wi.weights[lay.order]), lay.starts, phases)
+    y, c, betas = _build(wi.weights[lay.order], lay.starts, phases)
     return BlockReflector(y, c, betas, wi.partition)
 
 
@@ -176,12 +173,13 @@ class TriangularizationResult(_BlockForm):
         return max(float(_singular_values(D).max(initial=0.0)) for D in blocks)
 
 
-def block_triangularize(A, wi: WeightedIndicator, phases="auto") -> TriangularizationResult:
+def block_triangularize(A, wi: WeightedIndicator, phases=None) -> TriangularizationResult:
     """Run the full pipeline: relabel, conjugate by H, gather with Omega.
 
     The suitable-indexing permutation is applied first so non-contiguous
     partitions are accepted; the reflector is then built from the permuted
-    weight blocks and applied in O(N^2) whatever k.
+    weight blocks and phases (see build_block_reflector) and applied in
+    O(N^2) whatever k.
     """
     p = wi.partition
     A = _square(A, p.n)

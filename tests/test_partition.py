@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -828,3 +829,67 @@ class TestNonFiniteMatrix:
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
     def test_finite_accepted(self, name, dtype):
         self.ENTRY_POINTS[name](np.eye(4, dtype=dtype))
+
+
+def _same(a, b) -> bool:
+    """a and b equal field by field; arrays in dtype, shape and every bit."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _normal(rng, shape, dtype) -> np.ndarray:
+    """Standard normal entries, complex for a complex dtype, cast to dtype."""
+    X = rng.normal(size=shape)
+    if np.dtype(dtype).kind == "c":
+        X = X + 1j * rng.normal(size=shape)
+    return X.astype(dtype)
+
+
+class TestWorkingPrecision:
+    """_matrix and _vector promote single precision to double and pass the rest uncopied."""
+
+    ENTRY_POINTS = _square_entry_points()
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("single, double", [(np.float32, np.float64),
+                                                (np.complex64, np.complex128)])
+    def test_single_precision_gives_the_double_result(self, rng, name, single, double):
+        B = _normal(rng, (4, 4), single)
+        A = B + B.conj().T  # Hermitian, as weyl_check needs
+        f = self.ENTRY_POINTS[name]
+        assert _same(f(A), f(A.astype(double)))
+
+    @pytest.mark.parametrize("single, double", [(np.float32, np.float64),
+                                                (np.complex64, np.complex128)])
+    def test_single_precision_weights(self, rng, single, double):
+        p = eq.Partition.from_labels(rng.integers(0, 3, 12))
+        w = _normal(rng, 12, single)
+        got = eq.WeightedIndicator(p, w).weights
+        want = eq.WeightedIndicator(p, w.astype(double)).weights
+        assert got.dtype == double and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64, np.bool_])
+    def test_double_integer_and_bool_matrices_are_not_copied(self, dtype):
+        A = np.eye(5, dtype=dtype)
+        for out in (partition._square(A), partition._matrix(A), partition._matrix(A, (5, 5))):
+            assert out.dtype == dtype and np.shares_memory(out, A)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_double_vectors_are_not_copied(self, dtype):
+        x = np.ones(5, dtype=dtype)
+        assert np.shares_memory(partition._vector(x, 5), x)
+
+    @pytest.mark.parametrize("single, double", [(np.float16, np.float64),
+                                                (np.float32, np.float64),
+                                                (np.complex64, np.complex128)])
+    def test_single_precision_is_a_double_copy(self, single, double):
+        A = np.eye(3, dtype=single)
+        for out in (partition._square(A), partition._vector(A[0])):
+            assert out.dtype == double and not np.shares_memory(out, A)

@@ -64,7 +64,7 @@ class TestGamma:
 class TestBuildReflector:
     def test_identity_branch(self):
         h = eq.build_reflector(np.array([1.0, 0.0, 0.0]), 1.0)
-        assert h.kind == "identity"
+        assert h.coeffs[0] == 0
         assert np.array_equal(h.dense(), np.eye(3))
 
     def test_all_ones_two(self):
@@ -157,7 +157,7 @@ class TestExtremeScales:
 
     def test_huge_entries_not_identity(self):
         h = eq.build_reflector(np.array([1e200, 1e200]))
-        assert h.kind == "rank_one"
+        assert h.coeffs[0] != 0
         assert np.allclose(h.dense(), H2_DENSE, atol=1e-15)
 
     def test_tiny_entries_not_zero(self):
@@ -278,7 +278,7 @@ class TestApplication:
         h = eq.build_reflector(np.array([1.0, 0.0]), 1.0)
         M = rng.normal(size=(2, 3))
         assert np.array_equal(h.apply_left(M), M)
-        assert np.array_equal(eq.apply_right(M.T, h), M.T)
+        assert np.array_equal(h.apply_right(M.T), M.T)
 
     def test_symmetric_example_applied_to_identity(self):
         h = eq.build_reflector(np.ones(2), -1.0)

@@ -89,6 +89,18 @@ class TestCachedSpectra:
             assert got.holds == want.holds
             assert abs(got.tau_spec - want.tau_spec) <= 1e-13 * _scale(A)
 
+    @pytest.mark.parametrize("single", [np.float32, np.complex64])
+    def test_single_precision_input_keeps_the_verdict(self, rng, single):
+        # the result of A + 5e20 I: every eigenvalue moves by 5e20 and tau stays,
+        # so the bound fails; A's eigenvalues solved in single precision would
+        # overflow the slack to inf and let it pass
+        A = (random_hermitian(rng, 8, single == np.complex64) * 1e20).astype(single)
+        wi = eq.WeightedIndicator.unit(eq.Partition.from_labels(np.arange(8) % 2))
+        r = eq.block_triangularize(A + 5e20 * np.eye(8), wi)
+        got = eq.weyl_check(A, r)
+        assert not got.holds and got.max_gap > r.tau_spec
+        assert got.max_gap == eq.weyl_check(A.astype(np.result_type(single, 1.0)), r).max_gap
+
     def test_near_hermitian_input_keeps_the_verdict(self, rng):
         general = 0
         for trial in range(108):
