@@ -4,7 +4,7 @@ The off-diagonal blocks of the transformed matrix share their singular
 values with the deviation matrices, so any unitarily invariant norm of the
 deviation quantifies how far the partition is from equitable, and for
 Hermitian input the spectral norm bounds the eigenvalue perturbation of
-the joint E/F spectrum against the spectrum of A.
+the joint E/F spectrum against the spectrum of A. Residuals are partition's.
 """
 from __future__ import annotations
 
@@ -16,10 +16,7 @@ from .errors import InputError
 from .partition import (
     WeightedIndicator,
     _Sums,
-    _abs2,
-    _cell_sums,
-    _check_side,
-    _deviation,
+    _block_norms,
     _frobenius,
     _layout,
     _matrix,
@@ -39,15 +36,6 @@ WEYL_HERMITIAN_RTOL = 1e-10
 
 #: weyl_check's slack over the bound, relative to ||A||_F
 WEYL_SLACK_RTOL = 1e-10
-
-_NORM_ALIASES = {
-    "fro": "frobenius",
-    "frobenius": "frobenius",
-    "2": "spectral",
-    "spectral": "spectral",
-    "nuc": "nuclear",
-    "nuclear": "nuclear",
-}
 
 
 def _schatten(M: np.ndarray) -> dict:
@@ -83,9 +71,9 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
 
     The nonzero column count upper-bounds the rank; the squared Frobenius
     norm equals the sum of squared deviation-vector norms. The per-block
-    norms are cell sums of |T|^2 over the layout rows, O(N k). T is scaled
-    by a power of two before it is squared when its magnitude needs it
-    (partition._scaled), so all hold at any magnitude.
+    norms are the verdict's partition._block_norms over the layout rows,
+    O(N k). T is scaled by a power of two before it is squared when its
+    magnitude needs it (partition._scaled), so all hold at any magnitude.
     """
     M = np.asarray(T.assembled)
     norms = _schatten(M)
@@ -94,8 +82,7 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
     np.ldexp(col_norms, -e, out=col_norms)
     nonzero = int((col_norms > NONZERO_COLUMN_RTOL * norms["frobenius"]).sum())
     lay = _layout(T.partition)
-    per_block = np.sqrt(_cell_sums(_abs2(S[lay.order]), lay))
-    np.ldexp(per_block, -e, out=per_block)
+    per_block = _block_norms(M[lay.order], lay)
     if T.side == "rear":
         per_block = per_block.T
     per_block.setflags(write=False)
@@ -106,26 +93,20 @@ def theta_residual(A, wi: WeightedIndicator, Theta, side: str = "front",
                    norm_kind: str = "frobenius") -> float:
     """Norm of the equitability residual for an arbitrary candidate quotient.
 
-    front: ||(A W - W Theta) (W'W)^{-1/2}||, rear: ||(W'W)^{-1/2} (W'A - Theta W')||.
-    Over all Theta this is minimized exactly at the respective quotient.
+    front: ||(A W - W Theta) (W'W)^{-1/2}||, rear: ||(W'W)^{-1/2} (W'A - Theta W')||,
+    in the "frobenius", "spectral" or "nuclear" norm. Over all Theta this is
+    minimized exactly at the respective quotient.
 
-    Both come from one aggregate pass in layout rows; the rear residual is
-    taken in its conjugate transpose, (A' W - W Theta') (W'W)^{-1/2}, which
-    has the same singular values.
+    The residual is partition._Sums.residual, the one behind the deviation
+    matrices, from one aggregate pass in layout rows; the rear one is taken
+    in its conjugate transpose, which has the same singular values.
     """
-    _check_side(side)
-    kind = _NORM_ALIASES.get(norm_kind)
-    if kind is None:
+    if norm_kind not in ("frobenius", "spectral", "nuclear"):
         raise InputError(f"unknown norm kind {norm_kind!r}")
-    k = wi.partition.k
-    Theta = _matrix(Theta, (k, k))
-    s = _Sums(A, wi)
-    if side == "rear":
-        Theta = Theta.conj().T
-    if s.e.any():  # Theta for the scaled cells of _Sums: S^-1 Theta S
-        Theta = Theta * np.exp2(s.e[None, :] - s.e[:, None])
-    D = _deviation(s.sums(side), s.lay, s.wl, Theta) / np.sqrt(s.norms2)[None, :]
-    return _frobenius(D) if kind == "frobenius" else _schatten(D)[kind]  # an SVD only if needed
+    Theta = _matrix(Theta, (wi.partition.k, wi.partition.k))
+    D = _Sums(A, wi).residual(side, Theta)
+    # an SVD only if needed
+    return _frobenius(D) if norm_kind == "frobenius" else _schatten(D)[norm_kind]
 
 
 @dataclass(frozen=True, eq=False)

@@ -158,28 +158,27 @@ def _emit_blocks(out_dir, result, names) -> dict:
     return files
 
 
-def _print_report(report: dict, indent: int | None = 2) -> None:
-    """Write report as strict JSON; a NaN or infinity is a numerical failure.
+def _write(stream, text: str) -> None:
+    """Write text to stream's descriptor by os.write, resuming after a short write (a signal
+    in a write to a full pipe), which a text layer drops; else by the stream's own write."""
+    stream.flush()
+    try:
+        fd = stream.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        stream.write(text)
+        return
+    data = memoryview(text.encode(errors="backslashreplace"))
+    while data:
+        data = data[os.write(fd, data):]
 
-    The text goes to stdout's descriptor by os.write, each write going on
-    from the count the last one returned: an unbuffered stdout's text layer
-    writes once and drops what a short write (a signal during a write to a
-    full pipe) did not take. A stdout without a descriptor, such as a
-    test's capture, takes the text through its own write.
-    """
+
+def _print_report(report: dict, indent: int | None = 2) -> None:
+    """Write report to stdout as strict JSON; a NaN or infinity is a numerical failure."""
     try:
         text = json.dumps(report, indent=indent, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite number: {exc}") from exc
-    sys.stdout.flush()
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, io.UnsupportedOperation):
-        sys.stdout.write(text)
-        return
-    data = memoryview(text.encode())
-    while data:
-        data = data[os.write(fd, data):]
+    _write(sys.stdout, text)
 
 
 def _load_inputs(args):
@@ -423,14 +422,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (RankDeficiencyError, AdmissibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except EquitileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EquitileError, np.linalg.LinAlgError) as exc:
+        _write(sys.stderr, f"error: {exc}\n")
+        if isinstance(exc, (RankDeficiencyError, AdmissibilityError)):
+            return EXIT_NEGATIVE
+        if isinstance(exc, (NumericalError, np.linalg.LinAlgError)):
+            return EXIT_NUMERICAL
         return EXIT_INPUT
 
 

@@ -27,7 +27,8 @@ WeightedIndicator.matrix and indicator_matrix remain as oracles.
 A _Sums context holds the layout, weights and cell norms of one (A, W)
 and its front (A W) and rear (A' W) sums, each summed on first use. Each
 public reader of aggregates builds its own; a CLI run builds one, so it
-makes one pass per side. Only this module calls the kernel.
+makes one pass per side. Only this module calls the kernel. Every residual
+R - W E is _deviation's, and every block norm of one is _block_norms's.
 
 _matrix and _vector are the package's checks of a matrix or vector
 argument: shape, finiteness, and the working precision. float16, float32
@@ -490,17 +491,22 @@ def _cell_sums(X: np.ndarray, lay: _Layout, wl: np.ndarray | None = None) -> np.
     return np.add.reduceat(X, lay.starts, axis=0)
 
 
-def _deviation(R: np.ndarray, lay: _Layout, wl: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """R - W E in layout rows: row p minus E[labels[p]] * wl[p]."""
+def _deviation(R: np.ndarray, lay: _Layout, wl: np.ndarray, norms2: np.ndarray,
+               E: np.ndarray | None = None) -> np.ndarray:
+    """R - W E in layout rows: row p minus E[labels[p]] * wl[p], E by default
+    the quotient W'R / ||w_i||^2 of R's own columns (norms2 holds ||w_i||^2)."""
+    if E is None:
+        E = _cell_sums(R, lay, wl) / norms2[:, None]
     D = E[lay.labels].astype(np.result_type(R, E, wl), copy=False)
     D *= wl[:, None]
     np.subtract(R, D, out=D)
     return D
 
 
-def _check_side(side: str) -> None:
-    if side not in ("front", "rear"):
-        raise InputError(f"side must be 'front' or 'rear', got {side!r}")
+def _block_norms(D: np.ndarray, lay: _Layout) -> np.ndarray:
+    """Norm of each cell's rows in each column of D (layout rows), at any magnitude (_scaled)."""
+    S, e = _scaled(D)
+    return np.ldexp(np.sqrt(_cell_sums(_abs2(S), lay)), -e)
 
 
 class _Sums:
@@ -516,8 +522,8 @@ class _Sums:
         self.keep = keep
         self.A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
         # cells of far-off weights are scaled by 2^e (_cell_weights): W S for
-        # S = diag(2^e) leaves the residuals and deviations as they are and
-        # turns E^alpha into S^alpha E^alpha S^-alpha, which quotient undoes
+        # S = diag(2^e) leaves the deviations as they are and turns E^alpha into
+        # S^alpha E^alpha S^-alpha, which quotient undoes and residual applies
         self.wl, self.e, self.norms2 = _cell_weights(wi)
         if not np.all(self.norms2 > 0):
             require_admissible(wi)
@@ -529,6 +535,8 @@ class _Sums:
 
     def sums(self, side: str = "front", weighted: bool = True) -> np.ndarray:
         """A W (front) or A' W (rear) in layout rows; unit weights serve both requests."""
+        if side not in ("front", "rear"):
+            raise InputError(f"side must be 'front' or 'rear', got {side!r}")
         key = (side, weighted or self._unit)
         R = self._memo.get(key)
         if R is None:
@@ -537,19 +545,23 @@ class _Sums:
                 self._memo[key] = R
         return R
 
+    def residual(self, side: str, theta=None) -> np.ndarray:
+        """(R - W E) (W'W)^{-1/2} in layout rows for R the side's sums. E is their
+        quotient, or a checked k-by-k theta (Theta' for rear, whose residual
+        W'A - Theta W' this transposes) taken to the scaled cells as S^-1 Theta S."""
+        if theta is not None:
+            theta = theta.conj().T if side == "rear" else theta
+            if self.e.any():
+                theta = theta * np.exp2(self.e[None, :] - self.e[:, None])
+        D = _deviation(self.sums(side), self.lay, self.wl, self.norms2, theta)
+        return np.divide(D, np.sqrt(self.norms2)[None, :], out=D)
+
     def verdict(self, side: str, tol: float) -> EquitabilityVerdict:
         lay, wl, norms2, R = self.lay, self.wl, self.norms2, self.sums(side)
         res = np.empty((norms2.size, norms2.size))
         step = max(1, _BLOCK_ENTRIES // wl.size)
         for c in range(0, norms2.size, step):
-            Rc = R[:, c:c + step]
-            E = _cell_sums(Rc, lay, wl)
-            E /= norms2[:, None]
-            D, e = _scaled(_deviation(Rc, lay, wl, E))
-            blk = res[:, c:c + step]
-            blk[:] = _cell_sums(_abs2(D), lay)
-            np.sqrt(blk, out=blk)
-            np.ldexp(blk, -e, out=blk)
+            res[:, c:c + step] = _block_norms(_deviation(R[:, c:c + step], lay, wl, norms2), lay)
         res /= np.sqrt(norms2)[None, :]
         # rows of res follow the aggregated side's cells: transpose for rear
         if side == "rear":
@@ -598,15 +610,12 @@ class _Sums:
     def deviations(self) -> list[tuple[str, np.ndarray]]:
         """(side, T) for T_front = (A W - W E_front) (W'W)^{-1/2} and T_rear =
         (A' W - W E_rear') (W'W)^{-1/2}, rows in index order. Their last reader,
-        it releases the sums: the front ones once the rear ones are summed."""
-        lay, wl, norms2, out = self.lay, self.wl, self.norms2, []
+        it releases each side's sums once its residual is formed."""
+        pos, out = np.argsort(self.lay.order), []
         for side in ("front", "rear"):
-            R = self.sums(side)
+            T = self.residual(side)
             self._memo.pop((side, True), None)
-            D = _deviation(R, lay, wl, _cell_sums(R, lay, wl) / norms2[:, None])
-            D /= np.sqrt(norms2)[None, :]
-            T = np.empty_like(D)
-            T[lay.order] = D
+            T = T[pos]
             T.setflags(write=False)
             out.append((side, T))
         return out
@@ -630,14 +639,10 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     aggregate; rear is the column analogue. Normalization by the weight
     norms makes the tolerance scale-free in the weights.
 
-    One aggregate pass gives R = A W (front) or A' W (rear) in layout rows;
-    E = W'R / ||w_i||^2 and the residual R - W E are then formed in column
-    blocks, two-pass, so small residuals keep their digits and no second
-    N-by-k array is needed. A column block of the residual whose magnitude
-    needs it is scaled by a power of two before it is squared (_scaled), so
-    the residuals hold at any float64 magnitude of A.
+    One aggregate pass gives R = A W (front) or A' W (rear); the residual
+    (_deviation, two-pass) and its block norms (_block_norms, at any float64
+    magnitude of A) are taken in column blocks, before the division by ||w_j||.
     """
-    _check_side(side)
     return _Sums(A, wi).verdict(side, tol)
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import opcount
 from .errors import InputError
-from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _layout, _pow2_scale,
-                        _square, _vector)
+from .partition import (_BLOCK_ENTRIES, Partition, _abs2, _cell_sums, _layout, _matrix,
+                        _pow2_scale, _square, _vector)
 
 #: elementwise tolerance (relative to ||x||) for the identity branch,
 #: where the rank-one denominator vanishes exactly
@@ -166,25 +166,31 @@ class BlockReflector:
         return self.partition.n
 
     def _rank_one(self, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """X += Y diag(c) Y' X in place for an N-by-m X, in column blocks of
-        _BLOCK_ENTRIES entries so the temporaries are of the block size."""
+        """X += Y diag(c) Y' X in place for an N-vector or N-by-m X, in column
+        blocks of _BLOCK_ENTRIES entries so the temporaries are of the block size."""
         lay = _layout(self.partition)
         yc = (c[lay.labels] * y)[:, None]
+        M = X if X.ndim == 2 else X[:, None]
         step = max(1, _BLOCK_ENTRIES // self.n)
-        for a in range(0, X.shape[1], step):
-            blk = X[:, a:a + step]
+        for a in range(0, M.shape[1], step):
+            blk = M[:, a:a + step]
             blk += yc * _cell_sums(blk, lay, y)[lay.labels]
         opcount.add(2 * X.size + self.n)
         return X
 
-    def _cast(self, M, axis: int, ndims=(2,), copy: bool = True) -> np.ndarray:
-        """M checked to have N entries along axis, in the dtype of H M."""
+    def _dtype(self, M: np.ndarray) -> np.dtype:  # of H M
+        return np.result_type(M.dtype, self.vectors.dtype, self.coeffs.dtype)
+
+    def _cast(self, M, axis: int = 0, vector: bool = False) -> np.ndarray:
+        """A copy of M in the dtype of H M, checked by _matrix to have N entries
+        along axis, or by _vector to be an N-vector when vector allows a 1-d M."""
         M = np.asarray(M)
-        if M.ndim not in ndims or M.shape[axis] != self.n:
+        if vector and M.ndim == 1:
+            M = _vector(M, self.n)
+        elif (M := _matrix(M)).shape[axis] != self.n:
             what = "rows" if axis == 0 else "columns"
             raise InputError(f"array with {self.n} {what} required, got {M.shape}")
-        dtype = np.result_type(M.dtype, self.vectors.dtype, self.coeffs.dtype)
-        return M.astype(dtype, copy=copy)
+        return M.astype(self._dtype(M))
 
     def _conjugate_in_place(self, X: np.ndarray) -> np.ndarray:
         """X <- H' X H: H' = I + Y diag(conj c) Y' on the rows of X, then
@@ -195,7 +201,7 @@ class BlockReflector:
 
     def apply_left(self, M) -> np.ndarray:
         """H' M, for M with N rows."""
-        return self._rank_one(self._cast(M, 0), self.vectors, self.coeffs.conj())
+        return self._rank_one(self._cast(M), self.vectors, self.coeffs.conj())
 
     def apply_right(self, M) -> np.ndarray:
         """M H, for M with N columns."""
@@ -205,13 +211,12 @@ class BlockReflector:
 
     def conjugate(self, A) -> np.ndarray:
         """H' A H, for an N-by-N A."""
-        return self._conjugate_in_place(self._cast(_square(A, self.n), 0))
+        A = _square(A, self.n)
+        return self._conjugate_in_place(A.astype(self._dtype(A)))
 
     def matvec(self, v) -> np.ndarray:
         """H v for a vector of length N, or H V for a matrix V with N rows."""
-        out = self._cast(v, 0, (1, 2))
-        self._rank_one(out if out.ndim == 2 else out[:, None], self.vectors, self.coeffs)
-        return out
+        return self._rank_one(self._cast(v, vector=True), self.vectors, self.coeffs)
 
     def dense(self) -> np.ndarray:
         return self.matvec(np.eye(self.n))

@@ -129,7 +129,6 @@ class TriangularizationResult(_BlockForm):
     reflector: BlockReflector
     omega: np.ndarray
     pre_permutation: np.ndarray
-    indicator: WeightedIndicator
 
     @property
     def n(self) -> int:
@@ -191,7 +190,8 @@ def block_triangularize(A, wi: WeightedIndicator, phases=None) -> Triangularizat
 
     # the N-by-N working array: the relabelled copy, conjugated in place and
     # gathered once into A_hat
-    At = refl._conjugate_in_place(refl._cast(A[np.ix_(inv, inv)], 0, copy=False))
+    At = A[np.ix_(inv, inv)]
+    At = refl._conjugate_in_place(At.astype(refl._dtype(At), copy=False))
     om = omega_permutation(p.sizes)
     gather = np.argsort(om)
     return TriangularizationResult(
@@ -199,7 +199,6 @@ def block_triangularize(A, wi: WeightedIndicator, phases=None) -> Triangularizat
         reflector=refl,
         omega=om,
         pre_permutation=perm,
-        indicator=wi,
     )
 
 
@@ -209,10 +208,9 @@ def recover_eigenvector(r: TriangularizationResult, z_hat) -> np.ndarray:
     Takes one vector of length N or an N-by-m matrix of column vectors and
     applies Omega, then H, then undoes the suitable-indexing relabeling.
     """
-    z = np.asarray(z_hat)
-    if z.ndim not in (1, 2) or z.shape[0] != r.n:
-        raise InputError(f"array of 1 or 2 dimensions with {r.n} rows required, got {z.shape}")
-    return r.reflector.matvec(z[r.omega])[r.pre_permutation]
+    refl = r.reflector
+    z = refl._cast(z_hat, vector=True)[r.omega]
+    return refl._rank_one(z, refl.vectors, refl.coeffs)[r.pre_permutation]
 
 
 def _is_hermitian(M: np.ndarray, rtol: float) -> bool:

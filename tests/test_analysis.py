@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import equitile as eq
+from equitile import partition
 from equitile.errors import InputError
 
 from helpers import (
@@ -152,6 +153,53 @@ class TestThetaResidual:
             eq.theta_residual(np.zeros((3, 3)), wi, np.zeros((1, 1)), side="middle")
         with pytest.raises(InputError):
             eq.theta_residual(np.zeros((3, 3)), wi, np.zeros((1, 1)), norm_kind="p3")
+
+
+class TestOneResidual:
+    """theta_residual, the deviation matrices, the verdict and the report's
+    per-block norms all read partition's one residual and one block norm."""
+
+    @pytest.mark.parametrize("far_weights, scale", [(False, 0), (True, 0),
+                                                    (False, 600), (False, -600)])
+    def test_theta_residual_at_the_quotient_is_the_deviation_norm(self, rng, far_weights,
+                                                                  scale):
+        # equal within rounding, not bit for bit: the two norms sum their
+        # rows in different orders (layout rows and index order)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            p = random_partition(rng, n)
+            w = random_weights(rng, p)
+            if far_weights:  # cells outside 2^+-400, scaled inside partition._Sums
+                w = w * np.exp2(rng.choice([-500.0, 0.0, 500.0], size=p.k))[p.labels()]
+            wi = eq.WeightedIndicator(p, w)
+            A = random_complex_matrix(rng, n) * 2.0**scale
+            bound = 1e-12 * partition._frobenius(A)
+            front, rear = eq.deviation_matrices(A, wi)
+            for T, alpha in ((front, -1.0), (rear, 1.0)):
+                E = eq.generalized_quotient(A, wi, alpha).entries
+                got = eq.theta_residual(A, wi, E, T.side)
+                assert abs(got - partition._frobenius(T.assembled)) <= bound
+
+    @pytest.mark.parametrize("side", ["front", "rear"])
+    def test_verdict_residuals_are_the_report_per_block_norms(self, rng, side):
+        # the verdict divides by ||w_j|| after the block norms, the deviation
+        # matrices before: a few ulps apart
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            p = random_partition(rng, n)
+            wi = eq.WeightedIndicator(p, random_weights(rng, p))
+            A = random_complex_matrix(rng, n)
+            got = eq.check_equitable(A, wi, side).per_block_residuals
+            T = dict((T.side, T) for T in eq.deviation_matrices(A, wi))[side]
+            want = eq.deviation_report(T).per_block_norms
+            assert got.shape == want.shape == (p.k, p.k)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want)))
+
+    @pytest.mark.parametrize("kind", ["fro", "2", "nuc"])
+    def test_one_spelling_per_norm(self, kind):
+        wi = eq.WeightedIndicator.unit(eq.Partition.single_cell(3))
+        with pytest.raises(InputError, match="unknown norm kind"):
+            eq.theta_residual(np.zeros((3, 3)), wi, np.zeros((1, 1)), norm_kind=kind)
 
 
 def _schatten_of(M, kind):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import equitile as eq
-from equitile import opcount, reflector
+from equitile import opcount, partition, reflector
 from equitile.errors import InputError
 
 from helpers import BlockwiseReflector, random_partition, random_weights
@@ -163,3 +163,45 @@ def test_recover_eigenvector_lifts_all_columns_at_once(rng):
     for bad in (np.ones((n, 2, 2)), np.ones((n + 1, 3)), np.ones(n - 1)):
         with pytest.raises(InputError):
             eq.recover_eigenvector(r, bad)
+
+
+def test_operator_inputs_must_be_finite(rng):
+    refl = _reflector(rng, "random", "complex")
+    n = refl.n
+    r = eq.block_triangularize(rng.normal(size=(n, n)), eq.WeightedIndicator.unit(refl.partition))
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.ones((n, n))
+        M[-1, 0] = bad
+        for call, arg in [(refl.apply_left, M), (refl.apply_right, M), (refl.conjugate, M),
+                          (refl.matvec, M), (refl.matvec, M[:, 0]),
+                          (lambda z: eq.recover_eigenvector(r, z), M),
+                          (lambda z: eq.recover_eigenvector(r, z), M[:, 0])]:
+            with pytest.raises(InputError, match="finite"):
+                call(arg)
+    with pytest.raises(InputError, match="finite"):
+        eq.build_reflector(np.ones(2)).apply_left([[np.nan], [1.0]])
+
+
+@pytest.mark.parametrize("call", ["conjugate", "block_triangularize"])
+def test_each_matrix_is_checked_once(rng, monkeypatch, call):
+    # block_triangularize casts its checked working copy directly: no second
+    # finiteness pass over an N-by-N array
+    n = 12
+    p = random_partition(rng, n, 4)
+    wi = eq.WeightedIndicator(p, random_weights(rng, p))
+    A = rng.normal(size=(n, n))
+    refl = eq.build_block_reflector(wi)
+    shapes = []
+
+    def counted(M, shape=None):
+        shapes.append(np.shape(M))
+        return check(M, shape)
+
+    check = partition._matrix
+    monkeypatch.setattr(partition, "_matrix", counted)
+    monkeypatch.setattr(reflector, "_matrix", counted)
+    if call == "conjugate":
+        refl.conjugate(A)
+    else:
+        eq.block_triangularize(A, wi)
+    assert shapes == [(n, n)]

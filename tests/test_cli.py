@@ -697,3 +697,17 @@ def test_report_is_whole_when_signals_interrupt_a_full_pipe():
         out, err = child.communicate(timeout=60)
         assert child.returncode == 0, err
         assert json.loads(out) == {"values": list(range(40000))}
+
+
+def test_error_is_whole_through_short_writes(capfd, monkeypatch, tmp_path):
+    # the error line goes out by the report's os.write loop, which goes on
+    # from where each short write stopped
+    missing = tmp_path / "missing.mtx"
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    code = main(["refine", str(missing)])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {missing}")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import equitile as eq
 from equitile import partition
 from equitile.cli import main
+from equitile.errors import InputError
 from equitile.mmio import load_dense, save_matrix_market
 
 from helpers import random_hermitian, random_partition, random_weights
@@ -106,6 +107,30 @@ class TestLibraryPasses:
         eq.check_regular_equivalence(A, p)
         eq.generalized_quotient(A, wi, 0.5)
         assert passes == [side, side, "front", "front", "front"]
+
+    @pytest.mark.parametrize("side", ["front", "rear"])
+    def test_one_pass_per_side_over_many_column_blocks(self, rng, passes, side):
+        # k = 200 columns at N = 400 are 5 column blocks of the verdict's
+        # residual: one pass summed once, not once per block
+        n, k = 400, 200
+        assert k > partition._BLOCK_ENTRIES // n
+        A = rng.normal(size=(n, n))
+        p = random_partition(rng, n, k)
+        wi = eq.WeightedIndicator(p, random_weights(rng, p))
+        eq.check_equitable(A, wi, side)
+        eq.theta_residual(A, wi, np.eye(k), side)
+        assert passes == [side, side]
+        eq.deviation_matrices(A, wi)
+        assert passes == [side, side, "front", "rear"]
+
+    def test_an_invalid_side_is_refused_before_any_pass(self, files, passes):
+        A, wi, _ = files
+        for call in (lambda: eq.check_equitable(A, wi, "middle"),
+                     lambda: eq.theta_residual(A, wi, np.eye(wi.partition.k), "middle"),
+                     lambda: partition._Sums(A, wi).residual("middle")):
+            with pytest.raises(InputError, match="side must be"):
+                call()
+        assert passes == []
 
     def test_deviation_releases_the_sums_it_reads(self, files, passes):
         # it is their last reader in a run: they are not held past it
