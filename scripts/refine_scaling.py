@@ -3,10 +3,12 @@
 
 Refines randomly relabelled path graphs and near-square grid graphs of N
 vertices at color_tol 0 and prints, per input, the refinement time (best of
---repeats), the number of rounds, the cells found, and the indices summed
-into over every round after the first against the N*log2(N) bound of the
-"process the smaller half" rule. The sums are counted by wrapping the
-aggregate kernel during one extra, untimed run.
+--repeats), the number of rounds, the cells found, the indices summed into
+over every round after the first against the N*log2(N) bound of the
+"process the smaller half" rule, and the form of the aggregate kernel the
+rounds took: "table" (the stored entries of a sparse A) or "blocked". The
+sums are counted by wrapping the aggregate kernel during one extra, untimed
+run.
 
 With --labels N it instead times Partition.from_labels on a random
 permutation of 0..N-1 halved (N/2 cells of two), best of --repeats, and
@@ -45,21 +47,23 @@ def grid_graph(n: int) -> tuple[np.ndarray, str]:
     return A, f"grid {r}x{c}"
 
 
-def summed_per_round(A: np.ndarray) -> list[int]:
-    """Indices each aggregate pass of one refinement summed into, in order."""
-    calls = []
+def summed_per_round(A: np.ndarray) -> tuple[list[int], str]:
+    """Indices each aggregate pass of one refinement summed into, in order,
+    and the kernel forms the passes took."""
+    calls, forms = [], set()
     kernel = partition._aggregate
 
-    def counted(A, lay, *args, cols=None, **kwargs):
+    def counted(M, lay, *args, cols=None, **kwargs):
         calls.append(lay.order.size if cols is None else cols[0].size)
-        return kernel(A, lay, *args, cols=cols, **kwargs)
+        forms.add("table" if isinstance(M, partition._Entries) else "blocked")
+        return kernel(M, lay, *args, cols=cols, **kwargs)
 
     partition._aggregate = counted
     try:
         eq.coarsest_front_equitable_refinement(A)
     finally:
         partition._aggregate = kernel
-    return calls
+    return calls, "+".join(sorted(forms))
 
 
 def time_from_labels(n: int, repeats: int, rng) -> None:
@@ -89,7 +93,7 @@ def main(argv=None) -> None:
     if args.labels:
         return time_from_labels(args.labels, args.repeats, rng)
     print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'cells':>5} "
-          f"{'summed':>7} {'N*log2N':>8}")
+          f"{'summed':>7} {'N*log2N':>8} {'kernel':>7}")
     for n in args.sizes:
         for A, name in ((path_graph(n), "path"), grid_graph(n)):
             p = rng.permutation(n)
@@ -99,9 +103,9 @@ def main(argv=None) -> None:
                 t = time.perf_counter()
                 out = eq.coarsest_front_equitable_refinement(A)
                 best = min(best, time.perf_counter() - t)
-            calls = summed_per_round(A)
+            calls, form = summed_per_round(A)
             print(f"{name:>14} {n:>5} {best:>8.4f} {len(calls):>6} {out.k:>5} "
-                  f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f}")
+                  f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f} {form:>7}")
 
 
 if __name__ == "__main__":

@@ -16,19 +16,26 @@ from it is measured blockwise by the normalized residual vectors.
 
 Every cell aggregate (equitability residuals, quotients, deviations,
 epsilon and regular-equivalence tests, refinement signatures) comes from
-one kernel over the block-contiguous layout: contiguous row slices of A
-are gathered a bounded block at a time at the columns of the cells summed
-into, in layout order, and np.add.reduceat sums each row over every such
-cell. That is O(N^2) time whatever the number of cells k (O(N s) when
-refinement sums into cells of s indices), O(N k) extra memory, and no
-N-by-N temporary. The dense N-by-k indicator W is never formed;
+one kernel, _aggregate, over the block-contiguous layout, in one of two
+forms chosen by the density of A. When at most _TABLE_DENSITY of A is
+nonzero, a table of its stored entries (row, column, value) is built once
+and every pass adds each stored entry into its row's cell with np.bincount:
+O(nnz + N s) for the s indices of the cells summed into. Otherwise
+contiguous row slices of A are gathered a bounded block at a time at the
+columns of those cells, in layout order, and np.add.reduceat sums each row
+over every cell: O(N s), so O(N^2) whatever the number of cells k. Both
+use O(N k) extra memory and no N-by-N temporary, and give the same layout
+rows and dtype; float sums can differ in the last bits, as the two add in
+different orders. The dense N-by-k indicator W is never formed;
 WeightedIndicator.matrix and indicator_matrix remain as oracles.
 
-A _Sums context holds the layout, weights and cell norms of one (A, W)
-and its front (A W) and rear (A' W) sums, each summed on first use. Each
-public reader of aggregates builds its own; a CLI run builds one, so it
-makes one pass per side. Only this module calls the kernel. Every residual
-R - W E is _deviation's, and every block norm of one is _block_norms's.
+A _Sums context holds the layout, weights and cell norms of one (A, W),
+the entry table of a sparse A, and its front (A W) and rear (A' W) sums,
+each summed on first use. Each public reader of aggregates builds its own;
+a CLI run builds one, so it makes one pass per side. A refinement builds
+its table once, before its first round. Only this module calls either form
+of the kernel. Every residual R - W E is _deviation's, and every block
+norm of one is _block_norms's.
 
 _matrix and _vector are the package's checks of a matrix or vector
 argument: shape, finiteness, and the working precision. float16, float32
@@ -50,6 +57,13 @@ from .errors import AdmissibilityError, InputError
 #: float64); bounds its temporaries, and those of the column-blocked
 #: residual passes, independently of N and k
 _BLOCK_ENTRIES = 1 << 14
+
+#: largest fraction of nonzero entries at which the aggregates of A are
+#: summed over a table of its stored entries (_entries) rather than over all
+#: of A: where one pass on the table, its build included, costs about one
+#: blocked pass into 10 cells or fewer (N = 400 and 1000, random sparsity);
+#: into N/4 cells the table is the faster up to 1/8
+_TABLE_DENSITY = 1 / 32
 
 
 def _matrix(A, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -87,10 +101,12 @@ def _vector(x, n: int | None = None, what: str = "vector") -> np.ndarray:
 
 
 def _square(A, n: int | None = None) -> np.ndarray:
-    """A checked by _matrix to be square and, when n is given, n-by-n."""
+    """A checked by _matrix to be square, non-empty and, when n is given, n-by-n."""
     A = _matrix(A)
     if A.shape[0] != A.shape[1]:
         raise InputError(f"square matrix required, got shape {A.shape}")
+    if not A.size:
+        raise InputError(f"square matrix must be non-empty, got shape {A.shape}")
     if n is not None and A.shape[0] != n:
         raise InputError(f"matrix size {A.shape[0]} != partition size {n}")
     return A
@@ -435,7 +451,45 @@ def _frobenius(X) -> float:
     return float(np.ldexp(np.linalg.norm(Y), -e))
 
 
-def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
+class _Entries(NamedTuple):
+    """The stored entries of a square A, row after row: A[rows[t], cols[t]]
+    is vals[t], of A's dtype, and every other entry of A is zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _entries(A: np.ndarray) -> _Entries | None:
+    """The entry table of A when at most _TABLE_DENSITY of its entries are
+    nonzero, else None.
+
+    The nonzeros are found in blocks of rows of just over _TABLE_DENSITY N^2
+    entries each, one bool mask at a time, and the count stops at the first
+    block that passes the threshold, so a dense A pays one block. The table
+    holds 16 bytes of indices per stored entry besides its value.
+    """
+    n = A.shape[0]
+    limit = _TABLE_DENSITY * n * n
+    step = max(1, int(limit) // n + 1)
+    found, vals, count = [], [], 0
+    for a in range(0, n, step):
+        blk = A[a:a + step]
+        idx = np.flatnonzero(blk != 0)
+        count += idx.size
+        if count > limit:
+            return None
+        vals.append(blk.reshape(-1).take(idx))
+        idx += a * n
+        found.append(idx)
+    cols = np.concatenate(found)
+    del found
+    rows = cols // n
+    cols -= rows * n
+    return _Entries(rows, cols, np.concatenate(vals))
+
+
+def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = None,
                side: str = "front", cols: tuple[np.ndarray, np.ndarray] | None = None,
                similar: bool = False) -> np.ndarray:
     """R[p, j] = sum over v in cell j of M[order[p], v] * w[v], rows in layout order.
@@ -447,26 +501,36 @@ def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
     diag(w)^-1 A diag(w), each entry formed as (A[u, v] w[v]) / w[u]. Real w
     scales both parts of complex entries: unit w sums bit for bit as no w.
 
-    Contiguous slices of _BLOCK_ENTRIES entries' worth of rows of M are
-    gathered at the set's columns in their order, cast, scaled and summed per
-    cell with np.add.reduceat, and the sums are written to the slice's layout
-    rows. Costs O(N s) for the s indices of the column set (O(N^2) for all
-    cells) whatever the number of cells, and the only temporaries beyond the
-    result are of the block size.
+    A is the matrix or its entry table (_entries); both give the same rows
+    and dtype. On the table every stored entry in a column of the set is
+    cast, scaled and added to its row's cell with np.bincount: O(nnz + N s)
+    for the s indices of the column set. On the matrix contiguous slices of
+    _BLOCK_ENTRIES entries' worth of rows of M are gathered at the set's
+    columns in their order, cast, scaled and summed per cell with
+    np.add.reduceat: O(N s) (O(N^2) for all cells) whatever the number of
+    cells, with temporaries of the block size only. The two add in different
+    orders, so float sums can differ in the last bits; sums exact in float64
+    (integer, bool and dyadic entries and weights) agree bit for bit, up to
+    the sign of a zero.
     """
     order = lay.order
     corder, cstarts = (order, lay.starts) if cols is None else cols
     n = order.size
+    table = isinstance(A, _Entries)
+    adtype = (A.vals if table else A).dtype
+    conj = side == "rear" and adtype.kind == "c"
+    dtype = np.result_type(adtype, np.float64 if w is None else w.dtype)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    if table:
+        ends = (A.cols, A.rows) if side == "rear" else (A.rows, A.cols)
+        return _table_sums(*ends, A.vals, pos, corder, cstarts, w, conj, dtype, similar)
     M = A if side == "front" else A.T
-    conj = side == "rear" and np.iscomplexobj(A)
+    parts = w is not None and w.dtype.kind != "c" and dtype.kind == "c"
     wc = None if w is None else w[corder]
-    dtype = np.result_type(A.dtype, np.float64 if w is None else w.dtype)
-    parts = wc is not None and wc.dtype.kind != "c" and dtype.kind == "c"
     if parts:  # scale both parts: a product with w + 0j can flip a zero's sign
         wc = np.repeat(wc, 2)
     out = np.empty((n, cstarts.size), dtype=dtype)
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // corder.size)
     for a in range(0, n, step):
         blk = M[a:a + step].take(corder, axis=1).astype(dtype, copy=False)
@@ -479,6 +543,44 @@ def _aggregate(A: np.ndarray, lay: _Layout, w: np.ndarray | None = None,
                 blk /= w[a:a + step, None]
         out[pos[a:a + step]] = np.add.reduceat(blk, cstarts, axis=1)
     return out
+
+
+def _table_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, pos: np.ndarray,
+                corder: np.ndarray, cstarts: np.ndarray, w: np.ndarray | None, conj: bool,
+                dtype: np.dtype, similar: bool) -> np.ndarray:
+    """_aggregate on the stored entries M[rows[t], cols[t]] = vals[t]: each one
+    in a column of the set, scaled as the blocked pass scales it, is added into
+    (pos[row], cell) by np.bincount. Its sums start from +0.0, so no zero's
+    sign survives a product, and real w may scale complex entries as w + 0j."""
+    n, m = pos.size, cstarts.size
+    marks = np.zeros(corder.size, dtype=np.intp)
+    marks[cstarts[1:]] = 1
+    cell = np.full(n, -1, dtype=np.intp)
+    cell[corder] = np.cumsum(marks, out=marks)
+    cell = cell[cols]
+    if corder.size < n:  # only the entries in the set's columns
+        keep = np.flatnonzero(cell >= 0)
+        rows, cell, vals = rows[keep], cell[keep], vals[keep]
+        if w is not None:
+            cols = cols[keep]
+    if not rows.size:  # np.bincount sums no weights to int64 zeros
+        return np.zeros((n, m), dtype=dtype)
+    key = pos[rows]
+    key *= m
+    key += cell
+    v = vals.astype(dtype)
+    if conj:
+        np.conjugate(v, out=v)
+    if w is not None:
+        v *= w[cols]
+        if similar:
+            v /= w[rows]
+    if dtype.kind != "c":
+        return np.bincount(key, v, n * m).reshape(n, m)
+    out = np.empty(n * m, dtype=dtype)
+    out.real = np.bincount(key, v.real, n * m)
+    out.imag = np.bincount(key, v.imag, n * m)
+    return out.reshape(n, m)
 
 
 def _cell_sums(X: np.ndarray, lay: _Layout, wl: np.ndarray | None = None) -> np.ndarray:
@@ -514,13 +616,16 @@ class _Sums:
 
     With keep (a CLI run, which reads them more than once) each is held until
     deviations releases it; a single library call keeps none, so each is freed
-    once read. A is not copied: a context lives only as long as its call or run.
+    once read. A is not copied, and a sparse A is held as its entry table
+    (_entries): a context lives only as long as its call or run.
     """
 
     def __init__(self, A, wi: WeightedIndicator, keep: bool = False):
         self.partition = p = wi.partition
         self.keep = keep
-        self.A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
+        A, self.lay, self.w = _square(A, p.n), _layout(p), wi.weights
+        table = _entries(A)
+        self.A = A if table is None else table
         # cells of far-off weights are scaled by 2^e (_cell_weights): W S for
         # S = diag(2^e) leaves the deviations as they are and turns E^alpha into
         # S^alpha E^alpha S^-alpha, which quotient undoes and residual applies
@@ -728,11 +833,14 @@ def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
     the largest piece of each split cell (Hopcroft's "process the smaller
     half"). Members of a cell already agree on their sums into its parent's
     cells, so the sums into the skipped pieces follow from the others
-    (exactly for integer, bool and dyadic entries); a round costs O(N s) for the s indices of the cells it sums into, and each
-    index is summed into at most log2(N) times after the first round. The
-    result is the unique coarsest refinement. Above 0 agreement is not
-    transitive, so every round sums into every current cell, O(N^2) plus a
-    sort of the N-by-k signatures. The result need be neither equitable nor
+    (exactly for integer, bool and dyadic entries). A round sums in O(N s)
+    for the s indices of the cells it sums into, or in O(nnz + N s) on the
+    entry table of a sparse A, built once before the first round (see
+    _aggregate); each index is summed into at most log2(N) times after the
+    first round. The result is the unique coarsest refinement. Above 0
+    agreement is not transitive, so every round sums into every current
+    cell, O(N^2) (O(nnz + N k) on the table) plus a sort of the N-by-k
+    signatures. The result need be neither equitable nor
     coarsest, but the groups of a cell take its place in the cell order, so
     it depends on A, on the cells of `initial` in their order and on
     color_tol, never on how the indices are labelled. Output is in
@@ -747,7 +855,8 @@ def weighted_refinement(A, w, initial: Partition | None = None,
 
     Equivalent to refining diag(w)^-1 A diag(w): pairing the result with w
     gives a front equitable weighted indicator. Its entries are formed
-    block by block inside the aggregate kernel, never as an N-by-N array.
+    inside the aggregate kernel, block by block or from each stored entry
+    of a sparse A, never as an N-by-N array.
     """
     A = _square(A)
     w = _vector(w, A.shape[0], "weights")
@@ -767,6 +876,8 @@ def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,
         raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
     lay = _layout(initial)
     cols = None
+    table = _entries(A)  # one table serves every round
+    A = A if table is None else table
     while True:
         R = _aggregate(A, lay, w, cols=cols, similar=w is not None)
         srt, new = _color_groups(R, lay.labels, color_tol)

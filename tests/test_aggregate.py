@@ -1,4 +1,10 @@
-"""Every aggregate path against the dense-W oracle, and its memory bound."""
+"""Every aggregate path against the dense-W oracle, and its memory bound.
+
+The kernel sums over a table of the stored entries of a sparse A and over
+row blocks of a dense one (partition._TABLE_DENSITY picks); the `kernel`
+fixture forces one form or the other by patching that threshold, and the
+sparse cases below compare the two forms with each other.
+"""
 import tracemalloc
 
 import numpy as np
@@ -36,10 +42,27 @@ def _case(rng, dtype, partition, weights):
     return A, eq.WeightedIndicator(p, w)
 
 
+@pytest.fixture(params=["blocked", "table"])
+def kernel(request, monkeypatch):
+    """Every aggregate of the test through one form of the kernel."""
+    _force(monkeypatch, request.param)
+    return request.param
+
+
+def _force(monkeypatch, kernel):
+    density = {"blocked": -1.0, "table": 1.0}[kernel]
+    monkeypatch.setattr(partition, "_TABLE_DENSITY", density)
+
+
+def _source(A, kernel):
+    """What the forced kernel sums: A itself or its entry table."""
+    return partition._entries(A) if kernel == "table" else A
+
+
 @pytest.mark.parametrize("weights", WEIGHTS)
 @pytest.mark.parametrize("partition", PARTITIONS)
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_kernel_paths_match_dense_oracle(rng, dtype, partition, weights):
+def test_kernel_paths_match_dense_oracle(rng, kernel, dtype, partition, weights):
     for _ in range(5):
         A, wi = _case(rng, dtype, partition, weights)
         p = wi.partition
@@ -77,7 +100,7 @@ def test_kernel_paths_match_dense_oracle(rng, dtype, partition, weights):
 
 @pytest.mark.parametrize("block_entries", [None, 5])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_column_sets_sum_bit_for_bit(rng, monkeypatch, dtype, block_entries):
+def test_column_sets_sum_bit_for_bit(rng, monkeypatch, kernel, dtype, block_entries):
     # a column set sums exactly what the all-cells pass sums into the same
     # cells, and similar forms (A_uv w_v) / w_u entrywise as a scaled copy would
     if block_entries:
@@ -85,15 +108,22 @@ def test_column_sets_sum_bit_for_bit(rng, monkeypatch, dtype, block_entries):
     for _ in range(10):
         A, wi = _case(rng, dtype, "random", "complex")
         w = wi.weights
+        M = _source(A, kernel)
         lay = partition._layout(wi.partition)
         pick = rng.permutation(wi.partition.k)[:int(rng.integers(1, wi.partition.k + 1))]
-        cells = [wi.partition.cells[i] for i in pick]
-        sizes = np.array([len(c) for c in cells])
-        cols = np.concatenate(cells), np.cumsum(sizes) - sizes
-        got = partition._aggregate(A, lay, cols=cols)
-        assert _same_bits(got, partition._aggregate(A, lay)[:, pick])
-        similar = partition._aggregate(A, lay, w, cols=cols, similar=True)
-        assert _same_bits(similar, partition._aggregate((A * w) / w[:, None], lay, cols=cols))
+        cols = _column_set(wi.partition, pick)
+        got = partition._aggregate(M, lay, cols=cols)
+        assert _same_bits(got, partition._aggregate(M, lay)[:, pick])
+        similar = partition._aggregate(M, lay, w, cols=cols, similar=True)
+        scaled = _source((A * w) / w[:, None], kernel)
+        assert _same_bits(similar, partition._aggregate(scaled, lay, cols=cols))
+
+
+def _column_set(p, pick):
+    """The (corder, cstarts) column set of the cells pick of p, in that order."""
+    cells = [p.cells[i] for i in pick]
+    sizes = np.array([len(c) for c in cells])
+    return np.concatenate(cells), np.cumsum(sizes) - sizes
 
 
 def _same_bits(a, b):
@@ -115,3 +145,145 @@ def test_check_equitable_makes_no_dense_copy(rng):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+# ------------------------------------------------ the two kernels on sparse input
+
+SPARSE = ("int64-graph", "uint8-graph", "bool-graph", "empty-rows-cols", "all-zero",
+          "negative-zero", "complex-zero-part", "float")
+EXACT = set(SPARSE) - {"float"}  # every sum of these is exact in float64
+
+
+def _sparse(rng, kind):
+    """An n-by-n matrix of kind: a graph's adjacency, with entries 1 or 2, or
+    at most three stored entries in each row and in each column."""
+    n = int(rng.integers(2, 25))
+    mask = np.zeros((n, n), dtype=bool)
+    for _ in range(3):
+        mask[np.arange(n), rng.permutation(n)] |= rng.random(n) < 0.7
+    if kind.endswith("graph"):
+        A = (mask | mask.T) * rng.integers(1, 3, (n, n))
+        return A.astype(kind.split("-")[0])
+    A = rng.integers(-3, 4, (n, n)) * mask
+    if kind == "empty-rows-cols":
+        A[rng.random(n) < 0.4] = 0
+        A[:, rng.random(n) < 0.4] = 0
+    elif kind == "all-zero":
+        A[:] = 0
+    elif kind == "negative-zero":
+        A = np.where(mask & (A == 0), -0.0, A.astype(float))
+        A[rng.random((n, n)) < 0.3] = -0.0
+    elif kind == "complex-zero-part":
+        part = rng.integers(-3, 4, (n, n)) * mask
+        real = rng.random((n, n)) < 0.5
+        A = np.where(real, A, 0) + 1j * np.where(real, 0, part)
+    elif kind == "float":
+        A = rng.normal(size=(n, n)) * mask
+    return A
+
+
+def _weights(rng, n, kind):
+    """None, signed powers of two, or complex weights of modulus 0.5 to 2."""
+    if kind == "unit":
+        return None
+    if kind == "dyadic":
+        return np.exp2(rng.integers(-2, 3, n)) * rng.choice([-1.0, 1.0], n)
+    return rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def _same_sums(a, b):
+    """Bit for bit, up to the sign of a zero: a cell with no stored entry sums to
+    +0.0 on the table and to whatever sign the blocked pass's zero products carry."""
+    return _same_bits(a + 0.0, b + 0.0)
+
+
+@pytest.mark.parametrize("weights", ["unit", "dyadic", "complex"])
+@pytest.mark.parametrize("kind", SPARSE)
+def test_table_matches_blocked_kernel(rng, monkeypatch, kind, weights):
+    # exact inputs give the blocked kernel's sums bit for bit; float sums are
+    # added in another order, within 4 ulps of the sum of the terms' moduli
+    # (at most three terms a sum, each rounded sum within 2 u of that sum)
+    _force(monkeypatch, "table")
+    for _ in range(20):
+        A = _sparse(rng, kind)
+        n = A.shape[0]
+        p = random_partition(rng, n)
+        p = eq.Partition.from_cells([p.cells[i] for i in rng.permutation(p.k)])
+        lay = partition._layout(p)
+        w = _weights(rng, n, weights)
+        T = partition._entries(A)
+        assert T is not None and T.vals.dtype == A.dtype
+        assert T.rows.size == np.count_nonzero(A)
+        pick = rng.permutation(p.k)[:int(rng.integers(1, p.k + 1))]
+        for side, cols, similar in (("front", None, False), ("rear", None, False),
+                                    ("front", _column_set(p, pick), False),
+                                    ("rear", _column_set(p, pick), False),
+                                    ("front", None, True), ("front", _column_set(p, pick), True)):
+            if similar and w is None:
+                continue
+            got = partition._aggregate(T, lay, w, side, cols, similar)
+            want = partition._aggregate(A, lay, w, side, cols, similar)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if kind in EXACT and weights != "complex":
+                assert _same_sums(got, want)
+                continue
+            moduli = np.abs(A) if side == "front" else np.abs(A).T
+            if similar:
+                moduli = moduli / np.abs(w)[:, None]
+            bound = partition._aggregate(moduli, lay, None if w is None else np.abs(w),
+                                         "front", cols)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(bound))
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT))
+def test_contexts_agree_across_kernels(rng, monkeypatch, kind):
+    # identical sums make every aggregate identical, also for cells whose
+    # weights lie outside 2^+-400 (scaled by _cell_weights before the pass)
+    for _ in range(10):
+        A = _sparse(rng, kind)
+        n = A.shape[0]
+        p = random_partition(rng, n)
+        w = np.exp2(rng.integers(-2, 3, n)) * rng.choice([-1.0, 1.0], n)
+        far = np.isin(p.labels(), rng.permutation(p.k)[:2])
+        w[far] *= np.exp2(rng.choice([-500.0, 500.0], p.k))[p.labels()][far]
+        wi = eq.WeightedIndicator(p, w)
+        Theta = rng.integers(-2, 3, (p.k, p.k)).astype(float)
+        runs = []
+        for kernel in ("blocked", "table"):
+            _force(monkeypatch, kernel)
+            sums = partition._Sums(A, wi, keep=True)
+            assert isinstance(sums.A, partition._Entries) == (kernel == "table")
+            runs.append([sums.verdict("front", 0.0).per_block_residuals,
+                         sums.verdict("rear", 0.0).per_block_residuals,
+                         *(sums.quotient(a) for a in (-1.0, 0.0, 1.0)),
+                         *(T for _, T in sums.deviations()),
+                         eq.theta_residual(A, wi, Theta, "front"),
+                         eq.theta_residual(A, wi, Theta, "rear"),
+                         eq.epsilon_equitability(A, p),
+                         eq.check_regular_equivalence(A, p)])
+        for got, want in zip(*runs):
+            assert _same_sums(np.asarray(got), np.asarray(want))
+
+
+@pytest.mark.parametrize("s", [2.0**600, 2.0**-600])
+def test_table_scales_exactly_by_powers_of_two(rng, monkeypatch, s):
+    # the README's rule: residuals, quotients, per-block norms and epsilon on
+    # s A are exactly s times those on A, on the table path too
+    _force(monkeypatch, "table")
+    for _ in range(10):
+        A = _sparse(rng, "float")
+        A = A + 1j * rng.normal(size=A.shape) * (A != 0)
+        n = A.shape[0]
+        p = random_partition(rng, n)
+        wi = eq.WeightedIndicator(p, random_weights(rng, p))
+        for side in ("front", "rear"):
+            base, big = (eq.check_equitable(M, wi, side) for M in (A, s * A))
+            assert np.array_equal(big.per_block_residuals, s * base.per_block_residuals)
+            assert big.max_residual == s * base.max_residual
+        for alpha in (-1.0, 0.0, 1.0):
+            assert np.array_equal(eq.generalized_quotient(s * A, wi, alpha).entries,
+                                  s * eq.generalized_quotient(A, wi, alpha).entries)
+        for T, sT in zip(eq.deviation_matrices(A, wi), eq.deviation_matrices(s * A, wi)):
+            assert np.array_equal(eq.deviation_report(sT).per_block_norms,
+                                  s * eq.deviation_report(T).per_block_norms)
+        assert eq.epsilon_equitability(s * A, p) == s * eq.epsilon_equitability(A, p)

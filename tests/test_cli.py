@@ -66,6 +66,14 @@ class TestRefine:
         assert code == 0
         assert json.loads(out)["cells"] == [[1], [2], [3]]
 
+    def test_empty_matrix_refused(self, capsys, tmp_path):
+        mf = tmp_path / "empty.mtx"
+        mf.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        code = main(["refine", str(mf)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: square matrix must be non-empty, got shape (0, 0)\n"
+
     def test_weighted_requires_nonzero(self, capsys, a0_file, tmp_path):
         wf = tmp_path / "w.json"
         wf.write_text(json.dumps([1, 0, 1, 1, 1, 1]))

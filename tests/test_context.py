@@ -208,18 +208,21 @@ def _matrix_and_layout(draw, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(_ELEMENTS))
-def test_unit_weights_sum_bit_for_bit_like_no_weights(kind):
+def test_unit_weights_sum_bit_for_bit_like_no_weights(kind, monkeypatch):
     # including -0.0 real parts beside negative imaginary parts, which a
-    # product with 1 + 0j would turn into +0.0
+    # product with 1 + 0j would turn into +0.0; on A and on its entry table
+    monkeypatch.setattr(partition, "_TABLE_DENSITY", 1.0)
+
     @settings(max_examples=150)
     @given(_matrix_and_layout(kind))
     def check(case):
         A, p = case
         lay = partition._layout(p)
-        weighted = partition._aggregate(A, lay, np.ones(p.n))
-        plain = partition._aggregate(A, lay)
-        assert weighted.dtype == plain.dtype and weighted.shape == plain.shape
-        assert weighted.tobytes() == plain.tobytes()
+        for M in (A, partition._entries(A)):
+            weighted = partition._aggregate(M, lay, np.ones(p.n))
+            plain = partition._aggregate(M, lay)
+            assert weighted.dtype == plain.dtype and weighted.shape == plain.shape
+            assert weighted.tobytes() == plain.tobytes()
         sums = partition._Sums(A, eq.WeightedIndicator.unit(p), keep=True)
         assert sums.sums(weighted=False) is sums.sums()
 

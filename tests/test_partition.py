@@ -394,6 +394,32 @@ class TestRegularEquivalence:
         assert eq.check_regular_equivalence(np.zeros((5, 5)), p)
 
 
+@pytest.fixture
+def both_kernels(monkeypatch):
+    """run(refine, *args): refine's result, once it is the same, in the same
+    number of rounds, on the entry table of A and on the blocked kernel
+    (forced by patching partition._TABLE_DENSITY)."""
+    kernel, tables = partition._aggregate, []
+
+    def counted(A, *args, **kwargs):
+        tables.append(isinstance(A, partition._Entries))
+        return kernel(A, *args, **kwargs)
+
+    def run(refine, *args):
+        results = []
+        for density in (-1.0, 1.0):
+            monkeypatch.setattr(partition, "_TABLE_DENSITY", density)
+            tables.clear()
+            out = refine(*args)
+            assert tables == [density > 0] * len(tables)
+            results.append((out, len(tables)))
+        assert results[0] == results[1]
+        return results[0][0]
+
+    monkeypatch.setattr(partition, "_aggregate", counted)
+    return run
+
+
 class TestRefinement:
     def test_equitable_initial_unchanged(self):
         p = eq.Partition.from_cells(PI0_CELLS)
@@ -439,9 +465,20 @@ class TestRefinement:
                 np.zeros((3, 3)), eq.Partition.single_cell(4)
             )
 
+    def test_empty_matrix_refused_by_name(self):
+        # not as an empty label vector, which no caller passed
+        message = r"^square matrix must be non-empty, got shape \(0, 0\)$"
+        wi = eq.WeightedIndicator.unit(eq.Partition.single_cell(1))
+        for call in (lambda: eq.coarsest_front_equitable_refinement(np.zeros((0, 0))),
+                     lambda: eq.weighted_refinement(np.zeros((0, 0)), np.ones(0)),
+                     lambda: eq.check_equitable(np.zeros((0, 0), dtype=bool), wi)):
+            with pytest.raises(InputError, match=message):
+                call()
+
     @pytest.mark.parametrize("block_entries", [None, 5])
     @pytest.mark.parametrize("dtype", ["real", "complex", "bool"])
-    def test_matches_naive_fixpoint(self, rng, monkeypatch, dtype, block_entries):
+    def test_matches_naive_fixpoint(self, rng, monkeypatch, both_kernels, dtype,
+                                    block_entries):
         if block_entries:
             # tiny row blocks put block boundaries between most sorted rows
             monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block_entries)
@@ -454,12 +491,12 @@ class TestRefinement:
             else:
                 A = rng.integers(0, 2, size=(n, n)).astype(bool)
             initial = _shuffled_cells(rng, random_partition(rng, n))
-            assert eq.coarsest_front_equitable_refinement(A, initial) == \
+            assert both_kernels(eq.coarsest_front_equitable_refinement, A, initial) == \
                 refine_oracle(A, initial)
 
     @pytest.mark.parametrize("color_tol", [0.0, 0.3])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_permutation_equivariant(self, rng, color_tol, complex_entries):
+    def test_permutation_equivariant(self, rng, both_kernels, color_tol, complex_entries):
         # entries 0 or 1/4 keep every sum exact and put many signatures
         # within 0.3 of each other, so at 0.3 groups chain across members
         def relabel(p, perm):
@@ -473,10 +510,9 @@ class TestRefinement:
             initial = _shuffled_cells(rng, random_partition(rng, n, min(n, 3)))
             perm = rng.permutation(n)  # index v becomes perm[v]
             inv = np.argsort(perm)
-            out = eq.coarsest_front_equitable_refinement(A, initial, color_tol)
-            moved = eq.coarsest_front_equitable_refinement(
-                A[np.ix_(inv, inv)], relabel(initial, perm), color_tol
-            )
+            out = both_kernels(eq.coarsest_front_equitable_refinement, A, initial, color_tol)
+            moved = both_kernels(eq.coarsest_front_equitable_refinement,
+                                 A[np.ix_(inv, inv)], relabel(initial, perm), color_tol)
             assert moved == relabel(out, perm).canonical()
 
     def test_color_tol_is_single_linkage(self):
@@ -664,6 +700,92 @@ class TestIncrementalRefinement:
         corder, cstarts = partition._split_off(lay, np.array([0, 0, 0, 1]))
         assert corder.tolist() == [0, 4, 5, 6, 7]
         assert cstarts.tolist() == [0, 2]
+
+
+class TestBothKernels:
+    """Weighted refinement and graph families give the same partitions in the
+    same number of rounds on the entry table and on the blocked kernel."""
+
+    def test_dyadic_weighted(self, rng, both_kernels):
+        for _ in range(40):
+            n = int(rng.integers(1, 16))
+            A = rng.integers(-2, 3, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+            w = np.exp2(rng.integers(-2, 3, n)) * rng.choice([-1.0, 1.0], n)
+            initial = _shuffled_cells(rng, random_partition(rng, n))
+            assert both_kernels(eq.weighted_refinement, A, w, initial) == \
+                full_signature_refinement(A, initial, 0.0, w)
+
+    def test_graph_families(self, rng, both_kernels):
+        grid = np.kron(_path(9), np.eye(13, dtype=np.int64)) + \
+            np.kron(np.eye(9, dtype=np.int64), _path(13))
+        for A in (_path(150), grid, grid.astype(np.uint8), grid != 0):
+            A = _relabelled(rng, A)
+            assert both_kernels(eq.coarsest_front_equitable_refinement, A) == refine_oracle(A)
+
+
+class TestEntryTable:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every call of the entry table's builder, and whether it built one."""
+        build, calls = partition._entries, []
+
+        def counted(A):
+            table = build(A)
+            calls.append(table is not None)
+            return table
+
+        monkeypatch.setattr(partition, "_entries", counted)
+        return calls
+
+    def test_one_refinement_builds_one_table(self, rng, builds):
+        grid = _relabelled(rng, np.kron(_path(10), np.eye(12, dtype=np.int64))
+                           + np.kron(np.eye(10, dtype=np.int64), _path(12)))
+        w = np.exp2(rng.integers(-1, 2, 120)).astype(float)
+        for refine in (lambda: eq.coarsest_front_equitable_refinement(grid),
+                       lambda: eq.coarsest_front_equitable_refinement(grid, color_tol=0.5),
+                       lambda: eq.weighted_refinement(grid, w)):
+            builds.clear()
+            refine()
+            assert builds == [True]
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_one_context_builds_at_most_one_table(self, rng, builds, sparse):
+        n = 120
+        A = _relabelled(rng, _path(n)) if sparse else rng.normal(size=(n, n))
+        p = random_partition(rng, n, 6)
+        wi = eq.WeightedIndicator(p, random_weights(rng, p))
+        sums = partition._Sums(A, wi, keep=True)
+        for side in ("front", "rear"):
+            sums.verdict(side, 1e-10)
+        sums.epsilon(), sums.regular(), sums.quotient(0.5), sums.residual("front")
+        sums.deviations()
+        assert builds == [sparse]
+        for read in (lambda: eq.check_equitable(A, wi, "rear"),
+                     lambda: eq.deviation_matrices(A, wi),
+                     lambda: eq.theta_residual(A, wi, np.eye(6), "front")):
+            builds.clear()
+            read()
+            assert builds == [sparse]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_threshold_table_peaks_below_half_a_dense_copy(self, rng, dtype):
+        # the table of a matrix at the threshold density, with its masks
+        n = 800
+        nnz = int(partition._TABLE_DENSITY * n * n)
+        A = np.zeros(n * n, dtype=dtype)
+        A[rng.choice(n * n, nnz + 1, replace=False)] = 1 + 1j if dtype is np.complex128 else 1
+        A = A.reshape(n, n)
+        assert partition._entries(A) is None  # one entry past the threshold
+        A.flat[np.flatnonzero(A)[0]] = 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = partition._entries(A)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert table.rows.size == nnz
+        assert peak < n * n * 8 / 2
 
 
 def _path(n):
