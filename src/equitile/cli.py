@@ -28,6 +28,7 @@ from .errors import (
     RankDeficiencyError,
 )
 
+from . import partition
 from .mmio import _write_blocks, load_matrix_market, save_matrix_market
 from .partition import (
     Partition,
@@ -55,21 +56,11 @@ DEFAULT_TOL = 1e-10
 
 
 def _tolerance(text: str) -> float:
-    """A finite float >= 0: below 0 no residual, not even 0, could pass."""
+    """--tol by the library's rule (partition._tolerance), as an argparse error."""
     try:
-        if np.isfinite(tol := float(text)) and tol >= 0:
-            return tol
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("EQUITILE_TOL")
-    try:
-        return DEFAULT_TOL if raw is None else _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"EQUITILE_TOL: {exc}") from exc
+        return partition._tolerance(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _digest(path) -> str:
@@ -227,13 +218,13 @@ def cmd_check(args) -> int:
 
 def cmd_transform(args) -> int:
     t0 = time.perf_counter()
-    A, wi, phases = _load_inputs(args)
-    part = wi.partition
-    result = block_triangularize(A, wi, phases=phases)
     wanted = {piece.strip() for piece in args.emit.split(",") if piece.strip()}
     unknown = wanted - {"E", "F", "D", "full", "eigvecs"}
     if unknown:
         raise InputError(f"unknown --emit values: {sorted(unknown)}")
+    A, wi, phases = _load_inputs(args)
+    part = wi.partition
+    result = block_triangularize(A, wi, phases=phases)
 
     groups = {"E": ["E"], "F": ["F"], "D": ["D_minus", "D_plus_conj"], "full": ["A_hat"]}
     files = _emit_blocks(args.out_dir, result,
@@ -364,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of complex matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _default_tol()
 
     p = sub.add_parser("refine", help="coarsest front equitable refinement")
     p.add_argument("matrix")
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
     p.add_argument("--weights")
     p.add_argument("--side", choices=["front", "rear"], default="front")
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--epsilon", action="store_true",
                    help="also report the smallest eps-equitability bound")
     p.add_argument("--regular", action="store_true",
@@ -397,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", default="full",
                    help="comma list from E,F,D,full,eigvecs")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("split", help="spectrum split with deviation bound")
     p.add_argument("matrix")
     p.add_argument("partition")
     p.add_argument("--weights")
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("rect", help="rectangular two-sided transform")

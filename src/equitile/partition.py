@@ -44,6 +44,7 @@ float64, complex128, integer and bool matrices are used as given.
 """
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -98,6 +99,21 @@ def _vector(x, n: int | None = None, what: str = "vector") -> np.ndarray:
     if not np.isfinite(x).all():
         raise InputError(f"{what} entries must be finite")
     return x
+
+
+def _finite(x, what: str, minimum: float = -np.inf) -> float:
+    """x as a float that is finite and at least minimum, else InputError naming what."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if np.isfinite(v := float(x)) and v >= minimum:
+            return v
+    rule = "" if minimum == -np.inf else f" >= {minimum:g}"
+    raise InputError(f"{what} must be a finite number{rule}, got {x!r}")
+
+
+def _tolerance(tol) -> float:
+    """The tolerance of a verdict (check_equitable, spectrum_split, --tol) is a finite
+    number >= 0: below 0 no residual, not even 0, could pass; NaN or inf decides nothing."""
+    return _finite(tol, "tolerance", 0)
 
 
 def _square(A, n: int | None = None) -> np.ndarray:
@@ -313,9 +329,9 @@ class WeightedIndicator:
 
     def matrix(self) -> np.ndarray:
         """Dense N-by-k weighted indicator."""
+        lay = self.partition._lay
         W = np.zeros((self.partition.n, self.partition.k), dtype=self.weights.dtype)
-        for i, c in enumerate(self.partition.cells):
-            W[list(c), i] = self.weights[list(c)]
+        W[lay.order, lay.labels] = self.weights[lay.order]
         return W
 
 
@@ -332,10 +348,7 @@ def require_admissible(wi: WeightedIndicator) -> None:
 
 def indicator_matrix(p: Partition) -> np.ndarray:
     """Dense N-by-k 0/1 matrix; column i marks the members of cell i."""
-    B = np.zeros((p.n, p.k))
-    for i, c in enumerate(p.cells):
-        B[list(c), i] = 1.0
-    return B
+    return WeightedIndicator.unit(p).matrix()
 
 
 def suitable_indexing_permutation(p: Partition) -> np.ndarray:
@@ -662,6 +675,7 @@ class _Sums:
         return np.divide(D, np.sqrt(self.norms2)[None, :], out=D)
 
     def verdict(self, side: str, tol: float) -> EquitabilityVerdict:
+        tol = _tolerance(tol)
         lay, wl, norms2, R = self.lay, self.wl, self.norms2, self.sums(side)
         res = np.empty((norms2.size, norms2.size))
         step = max(1, _BLOCK_ENTRIES // wl.size)
@@ -742,7 +756,8 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     The (i, j) residual is the norm of the deviation vector of block (i, j):
     front uses (A_ij w_j - e_ij w_i)/||w_j|| with e_ij the weighted row
     aggregate; rear is the column analogue. Normalization by the weight
-    norms makes the tolerance scale-free in the weights.
+    norms makes the tolerance scale-free in the weights; tol must be a
+    finite number >= 0.
 
     One aggregate pass gives R = A W (front) or A' W (rear); the residual
     (_deviation, two-pass) and its block norms (_block_norms, at any float64

@@ -24,9 +24,11 @@ from .partition import (
     Partition,
     WeightedIndicator,
     _Sums,
+    _finite,
     _frobenius,
     _layout,
     _square,
+    _tolerance,
     require_admissible,
     suitable_indexing_permutation,
 )
@@ -54,7 +56,7 @@ def generalized_quotient(A, wi: WeightedIndicator, alpha: float) -> QuotientMatr
     with the squared cell weight norms, so only scalar powers are taken.
     W'AW is the cell sums of one front aggregate pass, O(N^2) whatever k.
     """
-    alpha = float(alpha)
+    alpha = _finite(alpha, "alpha")
     return QuotientMatrix(alpha=alpha, entries=_Sums(A, wi).quotient(alpha))
 
 
@@ -98,13 +100,15 @@ def build_block_reflector(wi: WeightedIndicator, phases=None) -> BlockReflector:
     """One elementary unitary per cell, all built at once from the cell weight blocks.
 
     phases gives one unit-modulus phase per cell, or None for the default
-    phase of each weight block. The result acts on suitably indexed
-    (block-contiguous) matrices.
+    phase of each weight block. It acts in the suitably indexed frame, on
+    A[inv, inv] for inv = argsort(suitable_indexing_permutation(wi.partition)):
+    its partition is the contiguous one of wi's cell sizes. block_triangularize uses it.
     """
     require_admissible(wi)
-    lay = _layout(wi.partition)
-    y, c, betas = _build(wi.weights[lay.order], lay.starts, phases)
-    return BlockReflector(y, c, betas, wi.partition)
+    p = wi.partition
+    inv = np.argsort(suitable_indexing_permutation(p))
+    y, c, betas = _build(wi.weights[inv], p.starts, phases)
+    return BlockReflector(y, c, betas, Partition._of(np.arange(p.n), p.starts))
 
 
 def omega_permutation(n_sizes: Sequence[int]) -> np.ndarray:
@@ -176,17 +180,14 @@ def block_triangularize(A, wi: WeightedIndicator, phases=None) -> Triangularizat
     """Run the full pipeline: relabel, conjugate by H, gather with Omega.
 
     The suitable-indexing permutation is applied first so non-contiguous
-    partitions are accepted; the reflector is then built from the permuted
-    weight blocks and phases (see build_block_reflector) and applied in
-    O(N^2) whatever k.
+    partitions are accepted; the reflector is build_block_reflector(wi,
+    phases), which acts in that frame, applied in O(N^2) whatever k.
     """
     p = wi.partition
     A = _square(A, p.n)
-
+    refl = build_block_reflector(wi, phases)
     perm = suitable_indexing_permutation(p)
     inv = np.argsort(perm)
-    contiguous = Partition._of(np.arange(p.n), p.starts)
-    refl = build_block_reflector(WeightedIndicator(contiguous, wi.weights[inv]), phases)
 
     # the N-by-N working array: the relabelled copy, conjugated in place and
     # gathered once into A_hat
@@ -262,7 +263,9 @@ def spectrum_split(r: TriangularizationResult, tol: float = 1e-10) -> SpectrumSp
     """Eigenvalues of E and F; exact when both off-diagonal blocks vanish.
 
     When exact, the multiset union of the two spectra is the spectrum of A.
+    tol must be a finite number >= 0.
     """
+    tol = _tolerance(tol)
     eigs_E, eigs_F = r.spectra
     off = max(_frobenius(r.D_minus), _frobenius(r.D_plus_conj))
     return SpectrumSplit(eigs_E=eigs_E, eigs_F=eigs_F, exact=bool(off <= tol))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import equitile as eq
+from equitile import cli
 from equitile.cli import main
 from equitile.mmio import load_dense, save_matrix_market
 from equitile.rectangular import assemble_block_diagonal
@@ -132,23 +133,13 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["side"] == "rear"
 
-    def test_env_tolerance_respected(self, capsys, a0_file, pi0_file, monkeypatch):
-        monkeypatch.setenv("EQUITILE_TOL", "0.0")
-        code, out = run_cli(capsys, "check", a0_file, pi0_file)
-        assert code == 0  # the strictest tolerance: residual 0 passes
-        assert json.loads(out)["tol"] == 0.0
-
     @pytest.mark.parametrize("command", ["check", "transform", "split"])
-    def test_negative_tolerance_refused(self, capsys, a0_file, pi0_file, monkeypatch, command):
+    def test_negative_tolerance_refused(self, capsys, a0_file, pi0_file, command):
         # under a negative tolerance no residual, not even 0, could pass
         with pytest.raises(SystemExit) as exc:
             main([command, a0_file, pi0_file, "--tol", "-1e-10"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
-        monkeypatch.setenv("EQUITILE_TOL", "-1.0")
-        assert main([command, a0_file, pi0_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "EQUITILE_TOL" in captured.err
 
 
 class TestTransform:
@@ -241,9 +232,17 @@ class TestTransform:
         A_hat = load_dense(json.loads(out)["files"]["A_hat"])
         assert np.abs(A_hat - a_hat_expected()).max() <= 1e-12
 
-    def test_unknown_emit_rejected(self, capsys, a0_file, pi0_file):
-        code, _ = run_cli(capsys, "transform", a0_file, pi0_file, "--emit", "Q")
-        assert code == 2
+    def test_unknown_emit_rejected(self, capsys, a0_file, pi0_file, tmp_path, monkeypatch):
+        # before any input is read: no transform is computed, a missing file is not reached
+        def never(*args, **kwargs):
+            raise AssertionError("block_triangularize called")
+
+        monkeypatch.setattr(cli, "block_triangularize", never)
+        for matrix in (a0_file, str(tmp_path / "missing.mtx")):
+            assert main(["transform", matrix, pi0_file, "--emit", "E,Q"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: unknown --emit values: ['Q']\n"
 
 
 class TestSplit:
@@ -436,6 +435,25 @@ class TestRect:
         assert "bad structure object" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("left, message", [
+        ({"m_sizes": [3, 4], "q_sizes": [1]},
+         "row and column size lists must have equal length"),
+        ({"m_sizes": [3, 3], "q_sizes": [1, 2]},
+         "matrix shape (7, 3) does not match sizes (6, 3)"),
+    ])
+    def test_side_sizes_must_fit_the_side_matrix(self, capsys, tmp_path, rng, left, message):
+        *_, paths = self._write_inputs(tmp_path, rng, [3, 4], [1, 2], [2, 3], [1, 2])
+        structure = json.loads(open(paths["structure"]).read())
+        structure["left"] = left
+        (tmp_path / "structure.json").write_text(json.dumps(structure))
+        code = main(["rect", paths["A"], paths["structure"], paths["wm"], paths["wp"],
+                     "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnyMagnitude:
     """Reports of s*A equal s times those of A for powers of two s far out of
@@ -590,15 +608,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--tol" in captured.err
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "abc", ""])
-    def test_non_finite_env_tolerance_refused(self, capsys, a0_file, pi0_file, monkeypatch,
-                                              raw):
-        monkeypatch.setenv("EQUITILE_TOL", raw)
-        code = main(["check", a0_file, pi0_file])
+    def test_tolerance_comes_from_tol_only(self, capsys, a0_file, pi0_file, tmp_path, rng,
+                                           monkeypatch):
+        # no environment variable sets a tolerance, nor can one break a command
+        monkeypatch.setenv("EQUITILE_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["refine", a0_file]) == 0
+        *_, paths = TestRect()._write_inputs(tmp_path, rng, [3, 4], [1, 2], [2, 3], [1, 2])
+        assert main(["rect", paths["A"], paths["structure"], paths["wm"], paths["wp"],
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "check", a0_file, pi0_file)
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-10
+
+    def test_missing_json_file(self, capsys, a0_file, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert main(["check", a0_file, missing]) == 2
         captured = capsys.readouterr()
-        assert code == 2
         assert captured.out == ""
-        assert "EQUITILE_TOL" in captured.err
+        assert captured.err == (f"error: cannot read {missing}: [Errno 2] "
+                                f"No such file or directory: {missing!r}\n")
+
+    def test_invalid_json_file(self, capsys, a0_file, tmp_path):
+        bad = tmp_path / "p.json"
+        bad.write_text("not json")
+        assert main(["check", a0_file, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: invalid JSON: "
+                                "Expecting value: line 1 column 1 (char 0)\n")
 
     def test_complex_weights_accepted(self, capsys, a0_file, pi0_file, tmp_path):
         # a global phase on the weights does not disturb equitability

@@ -167,6 +167,19 @@ def test_missing_file():
         load_matrix_market("/nonexistent/never.mtx")
 
 
+@pytest.mark.parametrize("M, kwargs, message", [
+    (np.ones(3), {}, "2-d matrix required, got shape (3,)"),
+    (np.eye(2), {"fmt": "dense"}, "unsupported format 'dense'"),
+    (np.eye(2), {"field": "pattern"}, "unsupported field 'pattern'"),
+])
+def test_writer_refuses_what_it_cannot_write(tmp_path, M, kwargs, message):
+    path = tmp_path / "m.mtx"
+    with pytest.raises(InputError) as exc:
+        save_matrix_market(path, M, **kwargs)
+    assert str(exc.value) == message
+    assert not path.exists()
+
+
 # --- entry-table codec against the per-entry reference codec --------------
 
 _SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,

@@ -69,6 +69,17 @@ class TestPartition:
         with pytest.raises(InputError, match="cover"):
             eq.Partition.from_cells([[0], [2 ** 70]])
 
+    def test_labels_beyond_int64_refused(self):
+        with pytest.raises(InputError, match="labels must be integers within int64"):
+            eq.Partition.from_labels([0, 2 ** 70])
+
+    @pytest.mark.parametrize("labels, shape", [(np.zeros((2, 2), dtype=int), "(2, 2)"),
+                                               ([], "(0,)")])
+    def test_labels_must_be_a_non_empty_vector(self, labels, shape):
+        with pytest.raises(InputError) as exc:
+            eq.Partition.from_labels(labels)
+        assert str(exc.value) == f"labels must be a non-empty vector, got shape {shape}"
+
     def test_numpy_integer_entries_load_as_python_ints(self):
         p = eq.Partition((np.array([3, 1]), (np.int32(2), np.uint8(0))))
         assert p.cells == ((1, 3), (0, 2))
@@ -102,6 +113,10 @@ class TestPartition:
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
         assert fine.refines(fine)
+        assert not fine.refines(eq.Partition.single_cell(5))  # other sizes
+
+    def test_repr_lists_the_cells(self):
+        assert repr(eq.Partition.from_cells([[2, 0], [1]])) == "Partition(cells=((0, 2), (1,)))"
 
     def test_json_round_trip(self):
         p = eq.Partition.from_cells(PI0_CELLS)
@@ -200,6 +215,21 @@ class TestIndicatorMatrix:
             B = eq.indicator_matrix(p)
             G = B.T @ B
             assert np.array_equal(G, np.diag(p.sizes))
+
+
+    def test_matches_per_cell_columns(self, rng):
+        # both dense oracles against one column per cell, written cell by cell
+        for _ in range(20):
+            n = int(rng.integers(1, 15))
+            p = random_partition(rng, n)
+            wi = eq.WeightedIndicator(p, random_weights(rng, p))
+            B = np.zeros((n, p.k))
+            W = np.zeros((n, p.k), dtype=complex)
+            for i, c in enumerate(p.cells):
+                B[list(c), i] = 1.0
+                W[list(c), i] = wi.weights[list(c)]
+            assert np.array_equal(eq.indicator_matrix(p), B)
+            assert np.array_equal(wi.matrix(), W) and wi.matrix().dtype == W.dtype
 
 
 class TestSuitableIndexing:
@@ -340,6 +370,13 @@ class TestCheckEquitable:
         wi = eq.WeightedIndicator.unit(eq.Partition.single_cell(3))
         with pytest.raises(InputError):
             eq.check_equitable(np.zeros((2, 2)), wi)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-10, "x"])
+    def test_bad_tolerance_refused(self, tol):
+        # NaN would say "not equitable" and inf would pass any matrix
+        wi = eq.WeightedIndicator.unit(eq.Partition.from_cells(PI0_CELLS))
+        with pytest.raises(InputError, match="tolerance must be a finite number >= 0"):
+            eq.check_equitable(A0, wi, tol=tol)
 
 
 def _random_hermitian_equitable(rng, n, k):

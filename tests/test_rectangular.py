@@ -3,7 +3,7 @@ import pytest
 
 import equitile as eq
 from equitile import rectangular
-from equitile.errors import InputError, RankDeficiencyError
+from equitile.errors import InputError, NumericalError, RankDeficiencyError
 from equitile.rectangular import assemble_block_diagonal, split_block_diagonal
 
 from helpers import (
@@ -42,6 +42,14 @@ class TestPaddedIdentity:
         with pytest.raises(InputError):
             eq.padded_identity(2, 3)
 
+    def test_block_variant_needs_equal_length_lists(self):
+        with pytest.raises(InputError, match="size lists must have equal length"):
+            eq.block_padded_identity([2, 3], [1])
+
+    def test_block_variant_of_no_blocks_is_empty(self):
+        M = eq.block_padded_identity([], [])
+        assert M.shape == (0, 0)
+
 
 class TestOmegaNr:
     def test_reduces_to_square_case_for_rank_one(self):
@@ -72,6 +80,11 @@ class TestOmegaNr:
     def test_rank_larger_than_block_rejected(self):
         with pytest.raises(InputError):
             eq.omega_nr_permutation([3], [2])
+
+    @pytest.mark.parametrize("r_sizes, n_sizes", [([], []), ([1], [2, 3])])
+    def test_lists_non_empty_and_of_equal_length(self, r_sizes, n_sizes):
+        with pytest.raises(InputError, match="size lists must be non-empty and of equal length"):
+            eq.omega_nr_permutation(r_sizes, n_sizes)
 
 
 class TestBlockSVD:
@@ -255,6 +268,20 @@ class TestRectTransform:
         right = eq.block_svd(random_blocks(rng, 2))
         res = eq.rect_transform(np.zeros((left.m, right.m)), left, right)
         assert np.all(res.assembled() == 0)
+
+    def test_shape_is_that_of_a(self, rng):
+        left = eq.block_svd(random_blocks(rng, 2))
+        right = eq.block_svd(random_blocks(rng, 3))
+        res = eq.rect_transform(random_complex_matrix(rng, left.m, right.m), left, right)
+        assert res.shape == res.A_hat.shape == (left.m, right.m)
+
+    def test_svd_failure_is_numerical_error(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="SVD of block 0 failed: did not converge"):
+            eq.block_svd(random_blocks(rng, 2))
 
     def test_singular_values_preserved(self, rng):
         for _ in range(20):
@@ -443,6 +470,15 @@ class TestSplitBlockDiagonal:
         M = np.eye(3)
         with pytest.raises(InputError):
             split_block_diagonal(M, [1, 2], [2, 1])
+
+    def test_size_lists_of_equal_length(self):
+        with pytest.raises(InputError, match="row and column size lists must have equal length"):
+            split_block_diagonal(np.eye(3), [1, 2], [3])
+
+    def test_sizes_must_match_the_shape(self):
+        with pytest.raises(InputError) as exc:
+            split_block_diagonal(np.eye(3), [1, 1], [1, 1])
+        assert str(exc.value) == "matrix shape (3, 3) does not match sizes (2, 2)"
 
 
 def _assert_sv_match(D, T):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equitile as eq
-from equitile.errors import AdmissibilityError, InputError
+from equitile.errors import AdmissibilityError, InputError, NumericalError
 from equitile import opcount
 
 from helpers import (
@@ -64,6 +66,11 @@ class TestGeneralizedQuotient:
         wi = eq.WeightedIndicator(eq.Partition.singletons(2), np.array([1.0, 0.0]))
         with pytest.raises(AdmissibilityError):
             eq.generalized_quotient(np.zeros((2, 2)), wi, 0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, "x", None])
+    def test_bad_alpha_refused(self, alpha):
+        with pytest.raises(InputError, match="alpha must be a finite number"):
+            eq.generalized_quotient(A_SUIT, WI_SUIT, alpha)
 
 
 class TestDeviationMatrices:
@@ -203,6 +210,58 @@ class TestBlockReflector:
         assert np.allclose(refl.conjugate(M), H.conj().T @ M @ H, atol=1e-13)
         v = random_complex_matrix(rng, n)[:, 0]
         assert np.allclose(refl.matvec(v), H @ v, atol=1e-13)
+
+
+def _reflector_case(rng, n, complex_weights, random_phases, complex_matrix):
+    """(A, wi, phases): cells in shuffled order, so mostly not contiguous."""
+    cells = list(random_partition(rng, n).cells)
+    rng.shuffle(cells)
+    p = eq.Partition.from_cells(cells)
+    wi = eq.WeightedIndicator(p, random_weights(rng, p, complex_weights))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, p.k)) if random_phases else None
+    A = random_complex_matrix(rng, n) if complex_matrix else rng.normal(size=(n, n))
+    return A, wi, phases
+
+
+def _documented_route(A, wi, phases=None):
+    """Relabel by the suitable indexing, conjugate by build_block_reflector, gather by Omega."""
+    p = wi.partition
+    inv = np.argsort(eq.suitable_indexing_permutation(p))
+    gather = np.argsort(eq.omega_permutation(p.sizes))
+    At = eq.build_block_reflector(wi, phases).conjugate(A[np.ix_(inv, inv)])
+    return At[np.ix_(gather, gather)]
+
+
+class TestOneReflectorBuilder:
+    """build_block_reflector is the H of block_triangularize, for any cell order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.booleans(),
+           st.booleans())
+    def test_block_triangularize_uses_it_bit_for_bit(self, seed, n, complex_weights,
+                                                     random_phases, complex_matrix):
+        rng = np.random.default_rng(seed)
+        A, wi, phases = _reflector_case(rng, n, complex_weights, random_phases,
+                                        complex_matrix)
+        r = eq.block_triangularize(A, wi, phases)
+        refl = eq.build_block_reflector(wi, phases)
+        for name in ("vectors", "coeffs", "phases"):
+            got, want = getattr(refl, name), getattr(r.reflector, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        contiguous = eq.Partition.from_cells(_contiguous_cells(wi.partition.sizes))
+        assert refl.partition == r.reflector.partition == contiguous
+        A_hat = _documented_route(A, wi, phases)
+        assert A_hat.dtype == r.A_hat.dtype and np.array_equal(A_hat, r.A_hat)
+
+    def test_non_contiguous_weighted_equitable(self, rng):
+        # A W = W Theta, so the documented route leaves D_minus at rounding level
+        p = eq.Partition.from_cells([[0, 3], [1, 2, 4]])
+        wi = eq.WeightedIndicator(p, random_weights(rng, p))
+        W, Theta = wi.matrix(), random_complex_matrix(rng, 2)
+        A = W @ Theta @ np.linalg.pinv(W)
+        assert np.allclose(A @ W, W @ Theta, atol=1e-12)
+        A_hat = _documented_route(A, wi)
+        assert np.abs(A_hat[p.k:, :p.k]).max() <= 1e-13 * np.abs(A).max()
 
 
 class TestOmegaPermutation:
@@ -450,6 +509,12 @@ class TestSpectrumSplit:
             joint = np.concatenate([s.eigs_E, s.eigs_F])
             assert eq.spectrum_gap(eigs_a, joint) <= 1e-9 * max(1, np.abs(A).max())
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-10, "x"])
+    def test_bad_tolerance_refused(self, tol):
+        r = eq.block_triangularize(A0, WI0)
+        with pytest.raises(InputError, match="tolerance must be a finite number >= 0"):
+            eq.spectrum_split(r, tol=tol)
+
     def test_exact_flag_off_for_generic_input(self, rng):
         A = random_complex_matrix(rng, 6)
         r = eq.block_triangularize(A, eq.WeightedIndicator.unit(PI0))
@@ -481,6 +546,26 @@ class TestSpectrumGap:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             eq.spectrum_gap([1.0], [1.0, 2.0])
+
+
+class TestSolverFailures:
+    """A LinAlgError of numpy's solvers is a NumericalError."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_eigenpairs(self, monkeypatch):
+        r = eq.block_triangularize(A0, WI0)
+        monkeypatch.setattr(np.linalg, "eig", self._fail)
+        with pytest.raises(NumericalError, match="eigenvalue solver failed: did not converge"):
+            r.eigenpairs
+
+    def test_singular_values(self, monkeypatch):
+        r = eq.block_triangularize(A0, WI0)
+        monkeypatch.setattr(np.linalg, "svd", self._fail)
+        with pytest.raises(NumericalError, match="SVD failed: did not converge"):
+            r.tau_spec
 
 
 class TestOperationCount:
