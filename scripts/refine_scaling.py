@@ -8,7 +8,9 @@ over every round after the first against the N*log2(N) bound of the
 "process the smaller half" rule, and the form of the aggregate kernel the
 rounds took: "table" (the stored entries of a sparse A) or "blocked". The
 sums are counted by wrapping the aggregate kernel during one extra, untimed
-run.
+run. Next to the refinement it prints the equitability verdict on the
+result: the time of check_equitable (best of --repeats) and the peak that
+tracemalloc traces during one extra call, in MiB.
 
 With --labels N it instead times Partition.from_labels on a random
 permutation of 0..N-1 halved (N/2 cells of two), best of --repeats, and
@@ -66,17 +68,30 @@ def summed_per_round(A: np.ndarray) -> tuple[list[int], str]:
     return calls, "+".join(sorted(forms))
 
 
-def time_from_labels(n: int, repeats: int, rng) -> None:
-    labels = rng.permutation(n) // 2
+def best_time(f, repeats: int):
+    """f's result and its best wall time over repeats calls."""
     best = np.inf
     for _ in range(repeats):
         t = time.perf_counter()
-        p = eq.Partition.from_labels(labels)
+        out = f()
         best = min(best, time.perf_counter() - t)
+    return out, best
+
+
+def traced_peak(f) -> int:
+    """The peak bytes tracemalloc traces during one call of f."""
     tracemalloc.start()
-    eq.Partition.from_labels(labels)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def time_from_labels(n: int, repeats: int, rng) -> None:
+    labels = rng.permutation(n) // 2
+    p, best = best_time(lambda: eq.Partition.from_labels(labels), repeats)
+    peak = traced_peak(lambda: eq.Partition.from_labels(labels))
     print(f"from_labels N={n} cells={p.k} time_s={best:.4f} "
           f"peak_int64_per_index={peak / (8 * n):.1f}")
 
@@ -93,19 +108,20 @@ def main(argv=None) -> None:
     if args.labels:
         return time_from_labels(args.labels, args.repeats, rng)
     print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'cells':>5} "
-          f"{'summed':>7} {'N*log2N':>8} {'kernel':>7}")
+          f"{'summed':>7} {'N*log2N':>8} {'kernel':>7} {'check_s':>8} {'check_MiB':>9}")
     for n in args.sizes:
         for A, name in ((path_graph(n), "path"), grid_graph(n)):
             p = rng.permutation(n)
             A = A[np.ix_(p, p)]
-            best = np.inf
-            for _ in range(args.repeats):
-                t = time.perf_counter()
-                out = eq.coarsest_front_equitable_refinement(A)
-                best = min(best, time.perf_counter() - t)
+            out, best = best_time(lambda: eq.coarsest_front_equitable_refinement(A), args.repeats)
             calls, form = summed_per_round(A)
+            wi = eq.WeightedIndicator.unit(out)
+            verdict, check = best_time(lambda: eq.check_equitable(A, wi), args.repeats)
+            assert verdict.is_equitable
+            peak = traced_peak(lambda: eq.check_equitable(A, wi))
             print(f"{name:>14} {n:>5} {best:>8.4f} {len(calls):>6} {out.k:>5} "
-                  f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f} {form:>7}")
+                  f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f} {form:>7} "
+                  f"{check:>8.4f} {peak / 2**20:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ def deviation_report(T: DeviationMatrix) -> DeviationReport:
     np.ldexp(col_norms, -e, out=col_norms)
     nonzero = int((col_norms > NONZERO_COLUMN_RTOL * norms["frobenius"]).sum())
     lay = _layout(T.partition)
-    per_block = _block_norms(M[lay.order], lay)
+    per_block = _block_norms(M[lay.order], lay.starts)
     if T.side == "rear":
         per_block = per_block.T
     per_block.setflags(write=False)

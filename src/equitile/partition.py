@@ -35,7 +35,19 @@ each summed on first use. Each public reader of aggregates builds its own;
 a CLI run builds one, so it makes one pass per side. A refinement builds
 its table once, before its first round. Only this module calls either form
 of the kernel. Every residual R - W E is _deviation's, and every block
-norm of one is _block_norms's.
+norm of one is _block_norms's, both over row segments of the sums.
+
+The verdict and the quotient read the sums as blocks (_Sums.blocks), one
+row segment per block (i, j). For a dense A these are the N-by-k sums in
+column blocks of _BLOCK_ENTRIES entries, every block present: O(N k).
+For an entry table with fewer stored entries than N k they are only the
+blocks that hold a stored entry, each laid out as the n_i rows of its
+cell, zero rows included (_table_blocks): O(nnz log nnz + sum of n_i over
+the nonzero blocks + k^2), with no N-by-k array, since a block with no
+stored entry has a zero residual and quotient entry; a table with at
+least N k entries (few cells) uses the N-by-k sums, at O(nnz). The
+residual and the deviations are N-by-k by contract and come from the
+N-by-k sums on either form.
 
 _matrix and _vector are the package's checks of a matrix or vector
 argument: shape, finiteness, and the working precision. float16, float32
@@ -516,34 +528,33 @@ def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = No
 
     A is the matrix or its entry table (_entries); both give the same rows
     and dtype. On the table every stored entry in a column of the set is
-    cast, scaled and added to its row's cell with np.bincount: O(nnz + N s)
-    for the s indices of the column set. On the matrix contiguous slices of
-    _BLOCK_ENTRIES entries' worth of rows of M are gathered at the set's
-    columns in their order, cast, scaled and summed per cell with
-    np.add.reduceat: O(N s) (O(N^2) for all cells) whatever the number of
-    cells, with temporaries of the block size only. The two add in different
-    orders, so float sums can differ in the last bits; sums exact in float64
-    (integer, bool and dyadic entries and weights) agree bit for bit, up to
-    the sign of a zero.
+    cast and scaled (_stored) and added to its row's cell with np.bincount:
+    O(nnz + N s) for the s indices of the column set. On the matrix
+    contiguous slices of _BLOCK_ENTRIES entries' worth of rows of M are
+    gathered at the set's columns in their order, cast, scaled and summed
+    per cell with np.add.reduceat: O(N s) (O(N^2) for all cells) whatever
+    the number of cells, with temporaries of the block size only. The two
+    add in different orders, so float sums can differ in the last bits;
+    sums exact in float64 (integer, bool and dyadic entries and weights)
+    agree bit for bit, up to the sign of a zero.
     """
     order = lay.order
     corder, cstarts = (order, lay.starts) if cols is None else cols
-    n = order.size
-    table = isinstance(A, _Entries)
-    adtype = (A.vals if table else A).dtype
-    conj = side == "rear" and adtype.kind == "c"
-    dtype = np.result_type(adtype, np.float64 if w is None else w.dtype)
+    n, m = order.size, cstarts.size
+    if isinstance(A, _Entries):
+        p, cell, v = _stored(A, lay, w, side, cols, similar)
+        p *= m
+        p += cell
+        return _bincount(p, v, n * m).reshape(n, m)
+    dtype, conj = _sum_dtype(A.dtype, w, side)
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    if table:
-        ends = (A.cols, A.rows) if side == "rear" else (A.rows, A.cols)
-        return _table_sums(*ends, A.vals, pos, corder, cstarts, w, conj, dtype, similar)
     M = A if side == "front" else A.T
     parts = w is not None and w.dtype.kind != "c" and dtype.kind == "c"
     wc = None if w is None else w[corder]
     if parts:  # scale both parts: a product with w + 0j can flip a zero's sign
         wc = np.repeat(wc, 2)
-    out = np.empty((n, cstarts.size), dtype=dtype)
+    out = np.empty((n, m), dtype=dtype)
     step = max(1, _BLOCK_ENTRIES // corder.size)
     for a in range(0, n, step):
         blk = M[a:a + step].take(corder, axis=1).astype(dtype, copy=False)
@@ -558,70 +569,146 @@ def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = No
     return out
 
 
-def _table_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, pos: np.ndarray,
-                corder: np.ndarray, cstarts: np.ndarray, w: np.ndarray | None, conj: bool,
-                dtype: np.dtype, similar: bool) -> np.ndarray:
-    """_aggregate on the stored entries M[rows[t], cols[t]] = vals[t]: each one
-    in a column of the set, scaled as the blocked pass scales it, is added into
-    (pos[row], cell) by np.bincount. Its sums start from +0.0, so no zero's
-    sign survives a product, and real w may scale complex entries as w + 0j."""
-    n, m = pos.size, cstarts.size
+def _sum_dtype(adtype: np.dtype, w: np.ndarray | None, side: str) -> tuple[np.dtype, bool]:
+    """The dtype _aggregate sums A's entries in, and whether it conjugates them."""
+    dtype = np.result_type(adtype, np.float64 if w is None else w.dtype)
+    return dtype, side == "rear" and adtype.kind == "c"
+
+
+def _stored(T: _Entries, lay: _Layout, w: np.ndarray | None, side: str,
+            cols: tuple[np.ndarray, np.ndarray] | None = None, similar: bool = False
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, cell, v) for each stored entry M[u, x] of the table T whose column x
+    lies in a cell of the column set (cols, or the cells of lay; M and the
+    arguments as in _aggregate): the layout row p of u, that cell, and the
+    entry cast and scaled as the blocked pass scales it. Real w may scale
+    complex entries as w + 0j: every sum of these starts from +0.0, so no
+    zero's sign survives a product."""
+    rows, xs = (T.cols, T.rows) if side == "rear" else (T.rows, T.cols)
+    corder, cstarts = (lay.order, lay.starts) if cols is None else cols
+    n = lay.order.size
+    dtype, conj = _sum_dtype(T.vals.dtype, w, side)
     marks = np.zeros(corder.size, dtype=np.intp)
     marks[cstarts[1:]] = 1
     cell = np.full(n, -1, dtype=np.intp)
     cell[corder] = np.cumsum(marks, out=marks)
-    cell = cell[cols]
+    cell = cell[xs]
+    vals = T.vals
     if corder.size < n:  # only the entries in the set's columns
         keep = np.flatnonzero(cell >= 0)
-        rows, cell, vals = rows[keep], cell[keep], vals[keep]
-        if w is not None:
-            cols = cols[keep]
-    if not rows.size:  # np.bincount sums no weights to int64 zeros
-        return np.zeros((n, m), dtype=dtype)
-    key = pos[rows]
-    key *= m
-    key += cell
+        rows, xs, cell, vals = rows[keep], xs[keep], cell[keep], vals[keep]
     v = vals.astype(dtype)
     if conj:
         np.conjugate(v, out=v)
     if w is not None:
-        v *= w[cols]
+        v *= w[xs]
         if similar:
             v /= w[rows]
-    if dtype.kind != "c":
-        return np.bincount(key, v, n * m).reshape(n, m)
-    out = np.empty(n * m, dtype=dtype)
-    out.real = np.bincount(key, v.real, n * m)
-    out.imag = np.bincount(key, v.imag, n * m)
-    return out.reshape(n, m)
+    pos = np.empty(n, dtype=np.intp)
+    pos[lay.order] = np.arange(n)
+    return pos[rows], cell, v
 
 
-def _cell_sums(X: np.ndarray, lay: _Layout, wl: np.ndarray | None = None) -> np.ndarray:
-    """S[i, j] = sum over the layout rows p of cell i of conj(wl[p]) X[p, j].
+def _bincount(key: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """out[key[t]] += v[t] in the order of t, into size zeros of v's dtype."""
+    if v.dtype.kind != "c":
+        # with no weights np.bincount would sum to int64 zeros
+        return np.bincount(key, v, size) if v.size else np.zeros(size, dtype=v.dtype)
+    out = np.empty(size, dtype=v.dtype)
+    out.real = np.bincount(key, v.real, size)
+    out.imag = np.bincount(key, v.imag, size)
+    return out
 
-    With X an aggregate R, this is W'R: the (unnormalized) quotient.
+
+def _cell_sums(X: np.ndarray, starts: np.ndarray, wl: np.ndarray | None = None) -> np.ndarray:
+    """S[i, j] = sum over the rows p of segment i of conj(wl[p]) X[p, j];
+    segment i is rows starts[i] up to starts[i + 1].
+
+    With X an aggregate R in layout rows and the cells' starts, this is W'R:
+    the (unnormalized) quotient.
     """
     if wl is not None:
         X = wl.conj()[:, None] * X
-    return np.add.reduceat(X, lay.starts, axis=0)
+    return np.add.reduceat(X, starts, axis=0)
 
 
-def _deviation(R: np.ndarray, lay: _Layout, wl: np.ndarray, norms2: np.ndarray,
+def _deviation(R: np.ndarray, starts: np.ndarray, wl: np.ndarray, norms2: np.ndarray,
                E: np.ndarray | None = None) -> np.ndarray:
-    """R - W E in layout rows: row p minus E[labels[p]] * wl[p], E by default
-    the quotient W'R / ||w_i||^2 of R's own columns (norms2 holds ||w_i||^2)."""
+    """R - W E over the row segments starts of R: row p of segment i minus
+    E[i] * wl[p], E by default the quotient W'R / ||w_i||^2 of R's own columns
+    (norms2[i] holds ||w_i||^2 of segment i's weights)."""
     if E is None:
-        E = _cell_sums(R, lay, wl) / norms2[:, None]
-    D = E[lay.labels].astype(np.result_type(R, E, wl), copy=False)
+        E = _cell_sums(R, starts, wl) / norms2[:, None]
+    D = np.repeat(E, np.diff(starts, append=len(R)), axis=0)
+    D = D.astype(np.result_type(R, E, wl), copy=False)
     D *= wl[:, None]
     np.subtract(R, D, out=D)
     return D
 
 
-def _block_norms(D: np.ndarray, lay: _Layout) -> np.ndarray:
-    """Norm of each cell's rows in each column of D (layout rows), at any magnitude (_scaled)."""
+def _block_norms(D: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Norm of each row segment (starts) of D in each column, at any magnitude (_scaled)."""
     S, e = _scaled(D)
-    return np.ldexp(np.sqrt(_cell_sums(_abs2(S), lay)), -e)
+    return np.ldexp(np.sqrt(_cell_sums(_abs2(S), starts)), -e)
+
+
+class _Blocks(NamedTuple):
+    """Blocks (i, j) of one side's sums R, as row segments of X: segment b is
+    rows starts[b] up to starts[b + 1], the n_i layout rows of cell i, zero
+    rows included, in column j of X; wl holds the weights of X's rows and
+    norms2[b] is ||w_i||^2. Indexing a k-by-k array with at selects the blocks
+    in the shape of a per-segment result (_cell_sums, _block_norms).
+
+    The N-by-k sums give the column blocks of R in layout rows, every block
+    present; an entry table gives only the blocks that hold a stored entry,
+    in one column (_table_blocks)."""
+
+    X: np.ndarray
+    starts: np.ndarray
+    wl: np.ndarray
+    norms2: np.ndarray
+    at: tuple
+
+
+def _table_blocks(T: _Entries, lay: _Layout, w: np.ndarray, wl: np.ndarray,
+                  norms2: np.ndarray, side: str) -> _Blocks:
+    """The nonzero blocks of R = A W (front) or A' W (rear) from the table T.
+
+    One np.unique of the (cell, layout row) keys of the stored entries
+    (_stored) and one np.bincount collapse them into triples, the sums R[p, j]
+    that hold a stored entry, added in the order of the table as _aggregate
+    adds them; sorted by cell j, then row, the triples of a block (i, j) are
+    contiguous. Each block is laid out as one segment of the n_i rows of cell
+    i: O(nnz log nnz + sum of n_i over the nonzero blocks), with no N-by-k
+    array. Every other block of R is zero.
+    """
+    n, starts = lay.order.size, lay.starts
+    p, cell, v = _stored(T, lay, w, side)
+    cell *= n
+    cell += p
+    key, inv = np.unique(cell, return_inverse=True)
+    v = _bincount(inv, v, key.size)
+    j, p = np.divmod(key, n)
+    i = lay.labels[p]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(j[1:], j[:-1], out=new[1:])
+    new[1:] |= i[1:] != i[:-1]
+    first = np.flatnonzero(new)
+    bi, bj = i[first], j[first]
+    sizes = np.diff(starts, append=n)[bi]
+    seg = np.cumsum(sizes) - sizes
+    X = np.zeros((sizes.sum(), 1), dtype=v.dtype)
+    X[seg[np.cumsum(new) - 1] + p - starts[i], 0] = v
+    rows = np.repeat(starts[bi] - seg, sizes)
+    rows += np.arange(rows.size)
+    return _Blocks(X, seg, wl[rows], norms2[bi], (bi[:, None], bj[:, None]))
+
+
+def _side(side: str) -> str:
+    if side not in ("front", "rear"):
+        raise InputError(f"side must be 'front' or 'rear', got {side!r}")
+    return side
 
 
 class _Sums:
@@ -649,19 +736,36 @@ class _Sums:
             self.w = np.empty_like(self.wl)
             self.w[self.lay.order] = self.wl
         self._unit = self.w.dtype == np.float64 and bool(np.all(self.w == 1))
-        self._memo: dict[tuple[str, bool], np.ndarray] = {}
+        self._memo: dict[tuple[str, bool | str], np.ndarray | list[_Blocks]] = {}
 
     def sums(self, side: str = "front", weighted: bool = True) -> np.ndarray:
         """A W (front) or A' W (rear) in layout rows; unit weights serve both requests."""
-        if side not in ("front", "rear"):
-            raise InputError(f"side must be 'front' or 'rear', got {side!r}")
-        key = (side, weighted or self._unit)
+        key = (_side(side), weighted or self._unit)
         R = self._memo.get(key)
         if R is None:
             R = _aggregate(self.A, self.lay, self.w if key[1] else None, side)
             if self.keep:
                 self._memo[key] = R
         return R
+
+    def blocks(self, side: str) -> list[_Blocks]:
+        """The blocks of A W (front) or A' W (rear): the nonzero blocks of a
+        sparse A's entry table (_table_blocks), with no N-by-k array, when the
+        N-by-k sums would hold more entries than the table; else the N-by-k
+        sums in column blocks of _BLOCK_ENTRIES entries, which then cost no
+        more than the table and need no sort."""
+        wl, norms2 = self.wl, self.norms2
+        if isinstance(self.A, _Entries) and self.A.vals.size < wl.size * norms2.size:
+            key = (_side(side), "blocks")
+            blocks = self._memo.get(key)
+            if blocks is None:
+                blocks = [_table_blocks(self.A, self.lay, self.w, wl, norms2, side)]
+                if self.keep:
+                    self._memo[key] = blocks
+            return blocks
+        R, starts, step = self.sums(side), self.lay.starts, max(1, _BLOCK_ENTRIES // wl.size)
+        return [_Blocks(R[:, c:c + step], starts, wl, norms2, (slice(None), slice(c, c + step)))
+                for c in range(0, norms2.size, step)]
 
     def residual(self, side: str, theta=None) -> np.ndarray:
         """(R - W E) (W'W)^{-1/2} in layout rows for R the side's sums. E is their
@@ -671,17 +775,15 @@ class _Sums:
             theta = theta.conj().T if side == "rear" else theta
             if self.e.any():
                 theta = theta * np.exp2(self.e[None, :] - self.e[:, None])
-        D = _deviation(self.sums(side), self.lay, self.wl, self.norms2, theta)
+        D = _deviation(self.sums(side), self.lay.starts, self.wl, self.norms2, theta)
         return np.divide(D, np.sqrt(self.norms2)[None, :], out=D)
 
     def verdict(self, side: str, tol: float) -> EquitabilityVerdict:
         tol = _tolerance(tol)
-        lay, wl, norms2, R = self.lay, self.wl, self.norms2, self.sums(side)
-        res = np.empty((norms2.size, norms2.size))
-        step = max(1, _BLOCK_ENTRIES // wl.size)
-        for c in range(0, norms2.size, step):
-            res[:, c:c + step] = _block_norms(_deviation(R[:, c:c + step], lay, wl, norms2), lay)
-        res /= np.sqrt(norms2)[None, :]
+        res = np.zeros((self.norms2.size, self.norms2.size))
+        for b in self.blocks(side):
+            res[b.at] = _block_norms(_deviation(b.X, b.starts, b.wl, b.norms2), b.starts)
+        res /= np.sqrt(self.norms2)[None, :]
         # rows of res follow the aggregated side's cells: transpose for rear
         if side == "rear":
             res = res.T
@@ -710,8 +812,11 @@ class _Sums:
         return not np.any((counts > 0) & (counts < np.asarray(self.partition.sizes)[:, None]))
 
     def quotient(self, alpha: float) -> np.ndarray:
-        """E^alpha (see generalized_quotient) from W'AW, the cell sums of A W."""
-        norms2, M = self.norms2, _cell_sums(self.sums(), self.lay, self.wl)
+        """E^alpha (see generalized_quotient) from W'AW, the cell sums of the blocks of A W."""
+        norms2, blocks = self.norms2, self.blocks("front")
+        M = np.zeros((norms2.size, norms2.size), dtype=np.result_type(blocks[0].X, self.wl))
+        for b in blocks:
+            M[b.at] = _cell_sums(b.X, b.starts, b.wl)
         # divide by the exact squared norms for the two standard quotients so
         # integer-exact inputs produce integer-exact entries
         if alpha == -1.0:
@@ -759,9 +864,14 @@ def check_equitable(A, wi: WeightedIndicator, side: str = "front", tol: float = 
     norms makes the tolerance scale-free in the weights; tol must be a
     finite number >= 0.
 
-    One aggregate pass gives R = A W (front) or A' W (rear); the residual
-    (_deviation, two-pass) and its block norms (_block_norms, at any float64
-    magnitude of A) are taken in column blocks, before the division by ||w_j||.
+    The residual of R = A W (front) or A' W (rear) (_deviation, two-pass)
+    and its block norms (_block_norms, at any float64 magnitude of A) are
+    taken per block (_Sums.blocks), before the division by ||w_j||. A dense
+    A costs one O(N^2) aggregate pass and O(N k) for the residual, in column
+    blocks of _BLOCK_ENTRIES entries. A sparse A (its entry table) costs
+    O(nnz log nnz + sum of n_i over the blocks (i, j) that hold a stored
+    entry + k^2) and forms no N-by-k array: every other block's residual is
+    0. With nnz >= N k it uses the N-by-k sums, at O(nnz).
     """
     return _Sums(A, wi).verdict(side, tol)
 
@@ -887,8 +997,7 @@ def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,
         initial = Partition.single_cell(A.shape[0])
     if A.shape[0] != initial.n:
         raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
-    if not color_tol >= 0:
-        raise InputError(f"color_tol must be a non-negative number, got {color_tol}")
+    color_tol = _finite(color_tol, "color_tol", 0)
     lay = _layout(initial)
     cols = None
     table = _entries(A)  # one table serves every round

@@ -174,7 +174,7 @@ class BlockReflector:
         step = max(1, _BLOCK_ENTRIES // self.n)
         for a in range(0, M.shape[1], step):
             blk = M[:, a:a + step]
-            blk += yc * _cell_sums(blk, lay, y)[lay.labels]
+            blk += yc * _cell_sums(blk, lay.starts, y)[lay.labels]
         opcount.add(2 * X.size + self.n)
         return X
 

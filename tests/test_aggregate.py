@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import equitile as eq
 from equitile import partition
@@ -287,3 +289,118 @@ def test_table_scales_exactly_by_powers_of_two(rng, monkeypatch, s):
             assert np.array_equal(eq.deviation_report(sT).per_block_norms,
                                   s * eq.deviation_report(T).per_block_norms)
         assert eq.epsilon_equitability(s * A, p) == s * eq.epsilon_equitability(A, p)
+
+
+# ------------------------------- the verdict's segment routes on both kernels
+
+ENTRIES = ("int", "dyadic", "complex-dyadic", "real", "complex")
+WEIGHT_KINDS = ("unit", "dyadic", "complex-dyadic", "real", "complex")
+EXACT_KINDS = {"unit", "int", "dyadic", "complex-dyadic"}  # every sum exact in float64
+
+
+def _dyadic(rng, shape):
+    """Signed small integers times powers of two: products and short sums are exact."""
+    return rng.integers(-3, 4, shape) * np.exp2(rng.integers(-3, 4, shape))
+
+
+def _agreement_case(rng, entries, weights, coarsest, moved, far, cancel):
+    """A sparse n-by-n A (at most three stored entries per row and column) and
+    a weighted indicator: the coarsest equitable partition or a random one,
+    cells in random order, `moved` indices moved to another cell, the weights
+    of up to two cells scaled by 2^+-450 when far, and with cancel rows whose
+    two stored entries in a cell sum to exactly zero."""
+    n = int(rng.integers(2, 17))
+    mask = np.zeros((n, n), dtype=bool)
+    for _ in range(3):
+        mask[np.arange(n), rng.permutation(n)] |= rng.random(n) < 0.7
+    make = {"int": lambda: rng.integers(-3, 4, (n, n)),
+            "dyadic": lambda: _dyadic(rng, (n, n)),
+            "complex-dyadic": lambda: _dyadic(rng, (n, n)) + 1j * _dyadic(rng, (n, n)),
+            "real": lambda: rng.normal(size=(n, n)),
+            "complex": lambda: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))}
+    A = make[entries]() * mask
+    p = eq.coarsest_front_equitable_refinement(A) if coarsest else random_partition(rng, n)
+    labels = p.labels()
+    pick = rng.permutation(n)[:moved]
+    labels[pick] = rng.integers(0, p.k, pick.size)
+    p = eq.Partition.from_labels(labels)
+    p = eq.Partition.from_cells([p.cells[i] for i in rng.permutation(p.k)])
+    w = {"unit": lambda: np.ones(n),
+         "dyadic": lambda: np.exp2(rng.integers(-2, 3, n)) * rng.choice([-1.0, 1.0], n),
+         "complex-dyadic": lambda: _dyadic(rng, n) + 1j * np.exp2(rng.integers(-2, 3, n)),
+         "real": lambda: random_weights(rng, p, complex_weights=False),
+         "complex": lambda: random_weights(rng, p)}[weights]()
+    if far:
+        scale = np.ones(p.k)
+        scale[rng.permutation(p.k)[:2]] = np.exp2(rng.choice([-450.0, 450.0], 2))[:min(2, p.k)]
+        w = w * scale[p.labels()]
+    if cancel:
+        for cell in (c for c in p.cells if len(c) > 1):
+            u, (v1, v2) = rng.integers(n), rng.choice(cell, 2, replace=False)
+            A[u, list(cell)] = 0
+            A[u, v1], A[u, v2] = A.dtype.type(1 + u % 3), -A.dtype.type(1 + u % 3)
+            w[v2] = w[v1]
+    return A, eq.WeightedIndicator(p, w)
+
+
+def _segment_outputs(A, wi, Theta):
+    """Everything _Sums computes through the segment routine, by name."""
+    sums = partition._Sums(A, wi)
+    out = {f"{side} verdict": sums.verdict(side, 0.0).per_block_residuals
+           for side in ("front", "rear")}
+    out.update({f"quotient {alpha}": sums.quotient(alpha) for alpha in (-1.0, 0.0, 1.0)})
+    for side in ("front", "rear"):
+        out[f"{side} residual"] = sums.residual(side)
+        out[f"{side} theta residual"] = sums.residual(side, Theta)
+    return out
+
+
+def _term_moduli(A, wi, Theta):
+    """Each output of _segment_outputs computed from the moduli of its terms
+    (of A, the weights and Theta) with dense products: a float output may
+    differ between the kernels by 4 ulps of these."""
+    p, lay = wi.partition, partition._layout(wi.partition)
+    Wa, B = np.abs(wi.matrix()), eq.indicator_matrix(p)
+    nrm = np.sqrt((Wa**2).sum(axis=0))
+    out = {}
+    for side, M, Th in (("front", np.abs(A), np.abs(Theta)), ("rear", np.abs(A).T, np.abs(Theta).T)):
+        R = M @ Wa
+        D = R + Wa @ (Wa.T @ R / nrm[:, None]**2)
+        res = np.sqrt(B.T @ D**2) / nrm
+        out[f"{side} verdict"] = res if side == "front" else res.T
+        out[f"{side} residual"] = (D / nrm)[lay.order]
+        out[f"{side} theta residual"] = ((R + Wa @ Th) / nrm)[lay.order]
+    Q = Wa.T @ np.abs(A) @ Wa
+    for alpha in (-1.0, 0.0, 1.0):
+        out[f"quotient {alpha}"] = (nrm**(alpha - 1))[:, None] * Q * (nrm**(-alpha - 1))[None, :]
+    return out
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), entries=st.sampled_from(ENTRIES),
+       weights=st.sampled_from(WEIGHT_KINDS), coarsest=st.booleans(),
+       moved=st.integers(0, 3), far=st.booleans(), cancel=st.booleans())
+def test_segment_routes_agree_with_the_blocked_kernel(monkeypatch, kernel, seed, entries,
+                                                      weights, coarsest, moved, far, cancel):
+    # the verdict, quotients and residuals on the kernel under test (the table
+    # reads only the nonzero blocks, the blocked kernel columns a few at a time)
+    # against the blocked kernel's, which reads all columns at once: exact
+    # inputs agree bit for bit up to the sign of a zero, others within 4 ulps
+    # of the moduli of the terms
+    rng = np.random.default_rng(seed)
+    A, wi = _agreement_case(rng, entries, weights, coarsest, moved, far, cancel)
+    k = wi.partition.k
+    Theta = rng.integers(-2, 3, (k, k)) + (1j * rng.integers(-2, 3, (k, k))
+                                           if np.iscomplexobj(A) else 0)
+    _force(monkeypatch, "blocked")
+    want = _segment_outputs(A, wi, Theta)
+    _force(monkeypatch, kernel)
+    monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 2 * A.shape[0])
+    got = _segment_outputs(A, wi, Theta)
+    exact = entries in EXACT_KINDS and weights in EXACT_KINDS
+    bounds = None if exact else _term_moduli(A, wi, Theta)
+    for name, value in got.items():
+        if exact:
+            assert _same_sums(value, want[name]), name
+        else:
+            assert np.all(np.abs(value - want[name]) <= 4 * np.spacing(bounds[name])), name

@@ -67,6 +67,15 @@ class TestRefine:
         assert code == 0
         assert json.loads(out)["cells"] == [[1], [2], [3]]
 
+    def test_color_tol_must_be_finite(self, capsys, tmp_path):
+        # an infinite tolerance would merge every cell; it is refused instead
+        mf = tmp_path / "diag.mtx"
+        save_matrix_market(mf, np.diag([0.0, 0.6, 1.2]))
+        code = main(["refine", str(mf), "--color-tol", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: color_tol must be a finite number >= 0, got inf\n"
+
     def test_empty_matrix_refused(self, capsys, tmp_path):
         mf = tmp_path / "empty.mtx"
         mf.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")

@@ -378,6 +378,27 @@ class TestCheckEquitable:
         with pytest.raises(InputError, match="tolerance must be a finite number >= 0"):
             eq.check_equitable(A0, wi, tol=tol)
 
+    def test_sparse_verdict_forms_no_n_by_k_array(self, rng):
+        # a relabelled path's verdict reads only its nonzero blocks: the k-by-k
+        # result, not an N-by-k float64 array of sums or residuals (16 MiB here)
+        n = 2000
+        A = np.zeros((n, n), dtype=np.int64)
+        i = np.arange(n - 1)
+        A[i, i + 1] = A[i + 1, i] = 1
+        perm = rng.permutation(n)
+        A = A[np.ix_(perm, perm)]
+        wi = eq.WeightedIndicator.unit(eq.coarsest_front_equitable_refinement(A))
+        k = wi.partition.k
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            v = eq.check_equitable(A, wi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert k == n // 2 and v.is_equitable and v.max_residual == 0.0
+        assert peak < k * k * 8 + 2 * 2**20
+
 
 def _random_hermitian_equitable(rng, n, k):
     """Hermitian matrix front equitable w.r.t. a random contiguous partition."""
@@ -560,7 +581,7 @@ class TestRefinement:
             eq.Partition.single_cell(3)
         assert eq.coarsest_front_equitable_refinement(A, color_tol=0.5) == \
             eq.Partition.singletons(3)
-        for bad in (-0.1, float("nan")):
+        for bad in (-0.1, float("nan"), "x", np.inf):
             with pytest.raises(InputError):
                 eq.coarsest_front_equitable_refinement(A, color_tol=bad)
 
