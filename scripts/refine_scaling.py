@@ -3,12 +3,15 @@
 
 Refines randomly relabelled path graphs and near-square grid graphs of N
 vertices at color_tol 0 and prints, per input, the refinement time (best of
---repeats), the number of rounds, the cells found, the indices summed into
-over every round after the first against the N*log2(N) bound of the
-"process the smaller half" rule, and the form of the aggregate kernel the
-rounds took: "table" (the stored entries of a sparse A) or "blocked". The
-sums are counted by wrapping the aggregate kernel during one extra, untimed
-run. Next to the refinement it prints the equitability verdict on the
+--repeats), the number of rounds, that time per round in microseconds, the
+rounds that fell back from the signature key to the lexicographic sort (a
+key collision or a key that is not finite), the cells found, the indices
+summed into over every round after the first against the N*log2(N) bound of
+the "process the smaller half" rule, and the form of the aggregate kernel
+the rounds took: "table" (the stored entries of a sparse A) or "blocked".
+The sums and the fallbacks are counted by wrapping the aggregate kernel and
+the lexicographic sort during one extra, untimed run. Next to the
+refinement it prints the equitability verdict on the
 result: the time of check_equitable (best of --repeats) and the peak that
 tracemalloc traces during one extra call, in MiB.
 
@@ -49,23 +52,27 @@ def grid_graph(n: int) -> tuple[np.ndarray, str]:
     return A, f"grid {r}x{c}"
 
 
-def summed_per_round(A: np.ndarray) -> tuple[list[int], str]:
+def summed_per_round(A: np.ndarray) -> tuple[list[int], str, int]:
     """Indices each aggregate pass of one refinement summed into, in order,
-    and the kernel forms the passes took."""
-    calls, forms = [], set()
-    kernel = partition._aggregate
+    the kernel forms the passes took, and the rounds sorted lexicographically."""
+    calls, forms, fallbacks = [], set(), []
+    kernel, lexsort = partition._aggregate, partition._lexsort_groups
 
     def counted(M, lay, *args, cols=None, **kwargs):
         calls.append(lay.order.size if cols is None else cols[0].size)
         forms.add("table" if isinstance(M, partition._Entries) else "blocked")
         return kernel(M, lay, *args, cols=cols, **kwargs)
 
-    partition._aggregate = counted
+    def fallen(*args):
+        fallbacks.append(args)
+        return lexsort(*args)
+
+    partition._aggregate, partition._lexsort_groups = counted, fallen
     try:
         eq.coarsest_front_equitable_refinement(A)
     finally:
-        partition._aggregate = kernel
-    return calls, "+".join(sorted(forms))
+        partition._aggregate, partition._lexsort_groups = kernel, lexsort
+    return calls, "+".join(sorted(forms)), len(fallbacks)
 
 
 def best_time(f, repeats: int):
@@ -107,19 +114,21 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(args.seed)
     if args.labels:
         return time_from_labels(args.labels, args.repeats, rng)
-    print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'cells':>5} "
-          f"{'summed':>7} {'N*log2N':>8} {'kernel':>7} {'check_s':>8} {'check_MiB':>9}")
+    print(f"{'input':>14} {'N':>5} {'time_s':>8} {'rounds':>6} {'us_round':>8} {'lexsort':>7} "
+          f"{'cells':>5} {'summed':>7} {'N*log2N':>8} {'kernel':>7} {'check_s':>8} "
+          f"{'check_MiB':>9}")
     for n in args.sizes:
         for A, name in ((path_graph(n), "path"), grid_graph(n)):
             p = rng.permutation(n)
             A = A[np.ix_(p, p)]
             out, best = best_time(lambda: eq.coarsest_front_equitable_refinement(A), args.repeats)
-            calls, form = summed_per_round(A)
+            calls, form, fallbacks = summed_per_round(A)
             wi = eq.WeightedIndicator.unit(out)
             verdict, check = best_time(lambda: eq.check_equitable(A, wi), args.repeats)
             assert verdict.is_equitable
             peak = traced_peak(lambda: eq.check_equitable(A, wi))
-            print(f"{name:>14} {n:>5} {best:>8.4f} {len(calls):>6} {out.k:>5} "
+            print(f"{name:>14} {n:>5} {best:>8.4f} {len(calls):>6} "
+                  f"{best / len(calls) * 1e6:>8.1f} {fallbacks:>7} {out.k:>5} "
                   f"{sum(calls[1:]):>7} {n * np.log2(n):>8.0f} {form:>7} "
                   f"{check:>8.4f} {peak / 2**20:>9.2f}")
 

@@ -37,6 +37,14 @@ its table once, before its first round. Only this module calls either form
 of the kernel. Every residual R - W E is _deviation's, and every block
 norm of one is _block_norms's, both over row segments of the sums.
 
+A refinement (_refine) keeps its state across its rounds: the table, with
+the entries of diag(w)^-1 A diag(w) of a weighted refinement formed once,
+the layout's position map and the cell map of the cells a round sums into
+(_Columns), each updated, not rebuilt. At color_tol 0 a round sorts its
+signatures by cell and one linear key per row, whose ties are checked
+exactly (_color_groups); a round in which unequal rows share a key, or a
+key is not finite, and every round above 0, sorts lexicographically.
+
 The verdict and the quotient read the sums as blocks (_Sums.blocks), one
 row segment per block (i, j). For a dense A these are the N-by-k sums in
 column blocks of _BLOCK_ENTRIES entries, every block present: O(N k).
@@ -180,7 +188,7 @@ class Partition:
         p = object.__new__(cls)
         sizes = np.diff(starts, append=order.size)
         p._lay = _Layout(order, starts, np.repeat(np.arange(starts.size), sizes))
-        for a in p._lay:
+        for a in (order, starts, p._lay.labels):
             a.setflags(write=False)
         return p
 
@@ -384,19 +392,31 @@ def suitable_indexing_permutation(p: Partition) -> np.ndarray:
 class _Layout(NamedTuple):
     """Block-contiguous layout of a partition.
 
-    Position p holds index order[p]: the cells in order, members ascending
-    (in signature order between refinement rounds). Cell i occupies positions
-    starts[i] up to starts[i + 1], and labels[p] is the cell of position p.
+    Position p holds index order[p]: the cells in order, members ascending.
+    Cell i occupies positions starts[i] up to starts[i + 1], and labels[p]
+    is the cell of position p. pos, the inverse of order (index v sits at
+    position pos[v]), is held only by a refinement's layouts, which keep and
+    update one array across their rounds; see _positions.
     """
 
     order: np.ndarray
     starts: np.ndarray
     labels: np.ndarray
+    pos: np.ndarray | None = None
 
 
 def _layout(p: Partition) -> _Layout:
     """The layout p is stored as, members ascending within cells."""
     return p._lay
+
+
+def _positions(lay: _Layout) -> np.ndarray:
+    """pos[v], the layout position of index v: lay.pos, else built in O(N)."""
+    if lay.pos is not None:
+        return lay.pos
+    pos = np.empty(lay.order.size, dtype=np.intp)
+    pos[lay.order] = np.arange(lay.order.size)
+    return pos
 
 
 def _abs2(X: np.ndarray) -> np.ndarray:
@@ -514,17 +534,41 @@ def _entries(A: np.ndarray) -> _Entries | None:
     return _Entries(rows, cols, np.concatenate(vals))
 
 
+class _Columns(NamedTuple):
+    """A column set: its cell j holds order[starts[j]] up to order[starts[j + 1]],
+    and cell[v] is the cell of index v, -1 for an index in no cell of the set."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    cell: np.ndarray
+
+
+def _columns(cols: _Columns | tuple[np.ndarray, np.ndarray], n: int) -> _Columns:
+    """cols as a _Columns of the indices 0..n-1: as given, or the column set
+    (corder, cstarts) with its cell map built in O(n)."""
+    if isinstance(cols, _Columns):
+        return cols
+    corder, cstarts = cols
+    marks = np.zeros(corder.size, dtype=np.intp)
+    marks[cstarts[1:]] = 1
+    cell = np.full(n, -1, dtype=np.intp)
+    cell[corder] = np.cumsum(marks, out=marks)
+    return _Columns(corder, cstarts, cell)
+
+
 def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = None,
-               side: str = "front", cols: tuple[np.ndarray, np.ndarray] | None = None,
+               side: str = "front",
+               cols: _Columns | tuple[np.ndarray, np.ndarray] | None = None,
                similar: bool = False) -> np.ndarray:
     """R[p, j] = sum over v in cell j of M[order[p], v] * w[v], rows in layout order.
 
     M is A for side "front" and A' (conjugate transpose) for "rear"; w
     defaults to all ones. The cells summed into are those of the layout, or
-    the column set cols = (corder, cstarts): cell j holds corder[cstarts[j]]
-    up to corder[cstarts[j + 1]]. With similar (front, w given) M is
-    diag(w)^-1 A diag(w), each entry formed as (A[u, v] w[v]) / w[u]. Real w
-    scales both parts of complex entries: unit w sums bit for bit as no w.
+    the column set cols = (corder, cstarts), or a _Columns that also holds
+    its cell map: cell j holds corder[cstarts[j]] up to corder[cstarts[j + 1]].
+    With similar (front, w given) M is diag(w)^-1 A diag(w), each entry
+    formed as (A[u, v] w[v]) / w[u]. Real w scales both parts of complex
+    entries: unit w sums bit for bit as no w.
 
     A is the matrix or its entry table (_entries); both give the same rows
     and dtype. On the table every stored entry in a column of the set is
@@ -539,7 +583,7 @@ def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = No
     agree bit for bit, up to the sign of a zero.
     """
     order = lay.order
-    corder, cstarts = (order, lay.starts) if cols is None else cols
+    corder, cstarts = (order, lay.starts) if cols is None else cols[:2]
     n, m = order.size, cstarts.size
     if isinstance(A, _Entries):
         p, cell, v = _stored(A, lay, w, side, cols, similar)
@@ -547,8 +591,7 @@ def _aggregate(A: np.ndarray | _Entries, lay: _Layout, w: np.ndarray | None = No
         p += cell
         return _bincount(p, v, n * m).reshape(n, m)
     dtype, conj = _sum_dtype(A.dtype, w, side)
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
+    pos = _positions(lay)
     M = A if side == "front" else A.T
     parts = w is not None and w.dtype.kind != "c" and dtype.kind == "c"
     wc = None if w is None else w[corder]
@@ -576,37 +619,43 @@ def _sum_dtype(adtype: np.dtype, w: np.ndarray | None, side: str) -> tuple[np.dt
 
 
 def _stored(T: _Entries, lay: _Layout, w: np.ndarray | None, side: str,
-            cols: tuple[np.ndarray, np.ndarray] | None = None, similar: bool = False
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            cols: _Columns | tuple[np.ndarray, np.ndarray] | None = None,
+            similar: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, cell, v) for each stored entry M[u, x] of the table T whose column x
     lies in a cell of the column set (cols, or the cells of lay; M and the
     arguments as in _aggregate): the layout row p of u, that cell, and the
-    entry cast and scaled as the blocked pass scales it. Real w may scale
-    complex entries as w + 0j: every sum of these starts from +0.0, so no
-    zero's sign survives a product."""
+    entry cast and scaled as the blocked pass scales it (_values)."""
     rows, xs = (T.cols, T.rows) if side == "rear" else (T.rows, T.cols)
-    corder, cstarts = (lay.order, lay.starts) if cols is None else cols
     n = lay.order.size
-    dtype, conj = _sum_dtype(T.vals.dtype, w, side)
-    marks = np.zeros(corder.size, dtype=np.intp)
-    marks[cstarts[1:]] = 1
-    cell = np.full(n, -1, dtype=np.intp)
-    cell[corder] = np.cumsum(marks, out=marks)
-    cell = cell[xs]
+    pos = _positions(lay)
     vals = T.vals
-    if corder.size < n:  # only the entries in the set's columns
-        keep = np.flatnonzero(cell >= 0)
-        rows, xs, cell, vals = rows[keep], xs[keep], cell[keep], vals[keep]
-    v = vals.astype(dtype)
+    if cols is None:
+        cell = lay.labels[pos[xs]]
+    else:
+        cols = _columns(cols, n)
+        cell = cols.cell[xs]
+        if cols.order.size < n:  # only the entries in the set's columns
+            keep = (cell >= 0).nonzero()[0]
+            rows, xs, cell, vals = rows[keep], xs[keep], cell[keep], vals[keep]
+    return pos[rows], cell, _values(vals, rows, xs, w, side, similar)
+
+
+def _values(vals: np.ndarray, rows: np.ndarray, xs: np.ndarray, w: np.ndarray | None,
+            side: str, similar: bool = False) -> np.ndarray:
+    """The stored entries vals of M at (rows, xs) (M and the arguments as in
+    _aggregate) cast to the sum dtype, conjugated for a complex rear side and
+    scaled by w[x], then with similar divided by w[u]; uncopied when nothing
+    is to be done. Real w may scale complex entries as w + 0j: every sum of
+    these starts from +0.0, so no zero's sign survives a product."""
+    dtype, conj = _sum_dtype(vals.dtype, w, side)
+    v = vals.astype(dtype, copy=conj or w is not None)
     if conj:
         np.conjugate(v, out=v)
     if w is not None:
         v *= w[xs]
         if similar:
             v /= w[rows]
-    pos = np.empty(n, dtype=np.intp)
-    pos[lay.order] = np.arange(n)
-    return pos[rows], cell, v
+    return v
 
 
 def _bincount(key: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
@@ -835,7 +884,7 @@ class _Sums:
         """(side, T) for T_front = (A W - W E_front) (W'W)^{-1/2} and T_rear =
         (A' W - W E_rear') (W'W)^{-1/2}, rows in index order. Their last reader,
         it releases each side's sums once its residual is formed."""
-        pos, out = np.argsort(self.lay.order), []
+        pos, out = _positions(self.lay), []
         for side in ("front", "rear"):
             T = self.residual(side)
             self._memo.pop((side, True), None)
@@ -895,52 +944,123 @@ def check_regular_equivalence(A, p: Partition) -> bool:
     return _Sums(A, WeightedIndicator.unit(p)).regular()
 
 
-def _color_groups(R: np.ndarray, labels: np.ndarray, color_tol: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _key_weights(m: int) -> np.ndarray:
+    """The weights of the signature key (_signature_key): m constants in
+    [1, 2), the same on every call, from the splitmix64 mix of 1..m (not
+    numpy.random, whose import would add about 13 ms to a CLI run). Like
+    independent draws, they give unequal rows one key only by a coincidence
+    of rounding, which the check of _color_groups catches."""
+    x = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return 1.0 + (x >> np.uint64(11)) * 2.0**-53
+
+
+def _color_groups(R: np.ndarray, labels: np.ndarray, color_tol: float,
+                  weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """One refinement round: layout rows in sorted order, and where groups start.
 
-    The signatures are the rows of R, one column per summed cell, and
-    labels[p] is the current cell of layout row p. One lexsort orders the
-    rows by cell, then lexicographically ((real, imag) per complex
-    component); new marks a change of cell, or consecutive rows that differ
-    by more than color_tol in some column, compared in row blocks of
-    _BLOCK_ENTRIES.
+    The signatures are the rows of R, one column per summed cell, and labels[p]
+    (nondecreasing) is the current cell of layout row p. At color_tol 0 one
+    stable lexsort orders the rows by cell, then by one key per row, and a
+    group starts where the cell or the key changes. A real R of one column
+    is its own key, exact. Otherwise the key is h = X weights for X, R with
+    each complex component as its (real, imag) pair (_signature_key), and
+    one exact comparison of each row with the one before it, in row blocks
+    of _BLOCK_ENTRIES, finds a key shared by unequal rows; that collision,
+    or a key that is not finite, sends the round to _lexsort_groups, as
+    does any color_tol above 0.
     """
+    if color_tol > 0:
+        return _lexsort_groups(R, labels, color_tol)
+    exact = R.shape[1] == 1 and not np.iscomplexobj(R)
+    key = R[:, 0] if exact else _signature_key(R, weights)
+    if not (exact or np.isfinite(key).all()):
+        return _lexsort_groups(R, labels, 0.0)
+    srt = np.lexsort((key, labels))
+    key = key.take(srt)
+    new = _cell_changes(labels)  # lexsort keeps labels in place
+    new[1:] |= key[1:] != key[:-1]
+    if exact:
+        return srt, new
+    step = max(1, _BLOCK_ENTRIES // R.shape[1])
+    for a in range(0, srt.size - 1, step):
+        rows = R.take(srt[a:a + step + 1], axis=0)
+        if ((rows[1:] != rows[:-1]) > new[a + 1:a + step + 1, None]).any():
+            return _lexsort_groups(R, labels, 0.0)
+    return srt, new
+
+
+def _signature_key(R: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """h = X weights for X the rows of R, each complex component as its
+    (real, imag) pair. An einsum adds every row's products in one order
+    wherever the row lies, so equal rows get bit-equal keys; BLAS (@) need
+    not, as its blocking and threads depend on the row's place."""
+    X = R.view(R.real.dtype) if np.iscomplexobj(R) else R
+    return np.einsum("ij,j->i", X, weights[:X.shape[1]])
+
+
+def _cell_changes(labels: np.ndarray) -> np.ndarray:
+    """new[p]: whether layout row p starts a cell (labels nondecreasing)."""
+    new = np.empty(labels.size, dtype=bool)
+    new[0] = True
+    np.not_equal(labels[1:], labels[:-1], out=new[1:])
+    return new
+
+
+def _lexsort_groups(R: np.ndarray, labels: np.ndarray, color_tol: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """_color_groups by one lexsort of the rows by cell, then lexicographically
+    ((real, imag) per complex component); new marks a change of cell, or
+    consecutive rows that differ in some column: at color_tol 0 where they
+    are not equal, above it by more than color_tol, equal components (the
+    same infinity too) counting as within it. Compared in row blocks of
+    _BLOCK_ENTRIES."""
     keys = R.T[::-1]
     if np.iscomplexobj(R):
         keys = [part for col in keys for part in (col.imag, col.real)]
     srt = np.lexsort((*keys, labels))
-    cells = labels[srt]
-    new = np.empty(srt.size, dtype=bool)
-    new[0] = True
-    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    new = _cell_changes(labels)
     step = max(1, _BLOCK_ENTRIES // R.shape[1])
     for a in range(0, srt.size - 1, step):
-        rows = R[srt[a:a + step + 1]]
-        new[a + 1:a + step + 1] |= ~(np.abs(rows[1:] - rows[:-1]) <= color_tol).all(axis=1)
+        rows = R.take(srt[a:a + step + 1], axis=0)
+        near = rows[1:] == rows[:-1]
+        if color_tol > 0:
+            near |= np.abs(rows[1:] - rows[:-1]) <= color_tol
+        new[a + 1:a + step + 1] |= ~near.all(axis=1)
     return srt, new
 
 
-def _split_off(lay: _Layout, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column set of every cell but the largest of the cells of the same parent.
+def _split_off(lay: _Layout, prev: _Layout, kept: _Columns | None) -> _Columns:
+    """Column set of every cell of lay but the largest of the cells of the same parent.
 
-    parent[i] (nondecreasing) is the previous round's cell that cell i of lay
-    came from; of equal largest pieces the first is left out. A parent that
-    did not split is its own largest piece, so only split-off cells remain.
+    lay refines prev position for position: cell i of lay lies in cell
+    prev.labels[lay.starts[i]], its parent. Of equal largest pieces the first
+    is left out. A parent that did not split is its own largest piece, so
+    only split-off cells remain. The cell map is kept's (the previous round's
+    set), cleared and reused, so that it costs O(s) for the s indices of the
+    two sets; without kept a new one.
     """
-    starts, k = lay.starts, lay.starts.size
+    order, starts, k = lay.order, lay.starts, lay.starts.size
     sizes = np.empty(k, dtype=np.intp)
     np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-    sizes[-1] = lay.order.size - starts[-1]
-    head = np.empty(k, dtype=bool)
-    head[0] = True
-    np.not_equal(parent[1:], parent[:-1], out=head[1:])
-    # distinct scores ordered by size, then by the earlier cell
+    sizes[-1] = order.size - starts[-1]
+    # distinct scores ordered by size, then by the earlier cell; the largest
+    # of each parent's pieces, which begin at the parent's start
     score = sizes * k - np.arange(k)
-    top = np.maximum.reduceat(score, np.flatnonzero(head))
-    keep = score != top[np.cumsum(head) - 1]
-    ends = np.cumsum(sizes[keep])
-    return lay.order[keep[lay.labels]], ends - sizes[keep]
+    top = np.maximum.reduceat(score, lay.labels[prev.starts])
+    keep = score != top[prev.labels[starts]]
+    corder = order[keep[lay.labels]]
+    sizes = sizes[keep]
+    if kept is None:
+        cell = np.full(order.size, -1, dtype=np.intp)
+    else:
+        cell = kept.cell
+        cell[kept.order] = -1
+    cell[corder] = np.repeat(np.arange(sizes.size), sizes)
+    return _Columns(corder, sizes.cumsum() - sizes, cell)
 
 
 def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
@@ -948,10 +1068,15 @@ def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
     """Coarsest refinement of `initial` against which A is front equitable.
 
     Color refinement: the signature of index u is its vector of row sums
-    into cells. Each round sorts every cell's members lexicographically by
-    signature and splits the cell between consecutive members whose
-    signatures differ by more than color_tol in the modulus of some
-    component (single linkage), until no cell splits.
+    into cells. Each round splits every cell into groups of members whose
+    signatures agree, until no cell splits. At color_tol 0 they agree when
+    equal: a round sorts all N members by cell and by one linear key of
+    their signatures, and checks that members with equal keys have equal
+    signatures, going over to the lexicographic sort below for a round in
+    which they do not (see _color_groups). Above 0 a round sorts every
+    cell's members lexicographically by signature and splits the cell
+    between consecutive members whose signatures differ by more than
+    color_tol in the modulus of some component (single linkage).
 
     At color_tol 0 the first round sums into every cell of `initial` and
     each later round only into the cells the previous round split off, less
@@ -961,15 +1086,20 @@ def coarsest_front_equitable_refinement(A, initial: Partition | None = None,
     (exactly for integer, bool and dyadic entries). A round sums in O(N s)
     for the s indices of the cells it sums into, or in O(nnz + N s) on the
     entry table of a sparse A, built once before the first round (see
-    _aggregate); each index is summed into at most log2(N) times after the
-    first round. The result is the unique coarsest refinement. Above 0
-    agreement is not transitive, so every round sums into every current
-    cell, O(N^2) (O(nnz + N k) on the table) plus a sort of the N-by-k
-    signatures. The result need be neither equitable nor
+    _aggregate), and sorts in O(N log N) plus O(N m) for the key and its
+    check over the m cells summed into; each index is summed into at most
+    log2(N) times after the first round. The result is the unique coarsest
+    refinement. Above 0 agreement is not transitive, so every round sums
+    into every current cell, O(N^2) (O(nnz + N k) on the table) plus a
+    sort of the N-by-k signatures. The result need be neither equitable nor
     coarsest, but the groups of a cell take its place in the cell order, so
     it depends on A, on the cells of `initial` in their order and on
     color_tol, never on how the indices are labelled. Output is in
     canonical form.
+
+    A sum beyond the float64 range is the infinity IEEE arithmetic gives,
+    without a warning, and agrees with the same infinity; a sum of both
+    infinities is NaN and agrees with nothing, so its member is split off.
     """
     return _refine(_square(A), None, initial, color_tol)
 
@@ -992,24 +1122,40 @@ def weighted_refinement(A, w, initial: Partition | None = None,
 
 def _refine(A: np.ndarray, w: np.ndarray | None, initial: Partition | None,
             color_tol: float) -> Partition:
-    """Color refinement of diag(w)^-1 A diag(w) (of A when w is None)."""
+    """Color refinement of diag(w)^-1 A diag(w) (of A when w is None).
+
+    The rounds share one state: the entry table of a sparse A, whose entries
+    of diag(w)^-1 A diag(w) are formed once, before the first round; the
+    layout's position map, updated in place each round; and at color_tol 0
+    the cell map of the summed cells (_split_off). A sum beyond float64 is
+    the infinity (or NaN) IEEE arithmetic gives, without a warning.
+    """
     if initial is None:
         initial = Partition.single_cell(A.shape[0])
-    if A.shape[0] != initial.n:
-        raise InputError(f"matrix size {A.shape[0]} != partition size {initial.n}")
+    n = A.shape[0]
+    if n != initial.n:
+        raise InputError(f"matrix size {n} != partition size {initial.n}")
     color_tol = _finite(color_tol, "color_tol", 0)
     lay = _layout(initial)
-    cols = None
-    table = _entries(A)  # one table serves every round
-    A = A if table is None else table
-    while True:
-        R = _aggregate(A, lay, w, cols=cols, similar=w is not None)
-        srt, new = _color_groups(R, lay.labels, color_tol)
-        del R  # not held while the next round's signatures are summed
-        if np.count_nonzero(new) == lay.starts.size:
-            order = lay.order[np.lexsort((lay.order, lay.labels))]
-            return Partition._of(order, lay.starts).canonical()
-        parent = lay.labels[srt[new]]
-        lay = _Layout(lay.order[srt], np.flatnonzero(new), np.cumsum(new) - 1)
-        if color_tol == 0:
-            cols = _split_off(lay, parent)
+    lay = lay._replace(pos=_positions(lay))
+    weights = _key_weights(2 * n) if color_tol == 0 else None
+    at, cols, similar = np.arange(n), None, w is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _entries(A)  # one table serves every round
+        if table is not None:
+            if similar:
+                vals = _values(table.vals, table.rows, table.cols, w, "front", similar)
+                table, w, similar = table._replace(vals=vals), None, False
+            A = table
+        while True:
+            R = _aggregate(A, lay, w, cols=cols, similar=similar)
+            srt, new = _color_groups(R, lay.labels, color_tol, weights)
+            del R  # not held while the next round's signatures are summed
+            if np.count_nonzero(new) == lay.starts.size:
+                order = lay.order[np.lexsort((lay.order, lay.labels))]
+                return Partition._of(order, lay.starts).canonical()
+            prev, order = lay, lay.order[srt]
+            lay.pos[order] = at
+            lay = _Layout(order, new.nonzero()[0], new.cumsum() - 1, lay.pos)
+            if color_tol == 0:
+                cols = _split_off(lay, prev, cols)

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import equitile as eq
 from equitile import partition
@@ -585,6 +586,17 @@ class TestRefinement:
             with pytest.raises(InputError):
                 eq.coarsest_front_equitable_refinement(A, color_tol=bad)
 
+    @pytest.mark.parametrize("color_tol", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_equal_rows_whose_sums_overflow_stay_together(self, both_kernels, n, color_tol):
+        # rows 0 and 1 sum to inf, and inf - inf (NaN) once counted as a
+        # difference; N=64 pads them with an identity block, sparse enough
+        # for the entry table, and both kernels run on both sizes
+        A = np.eye(n)
+        A[:2, :2] = 1e308
+        out = both_kernels(eq.coarsest_front_equitable_refinement, A, None, color_tol)
+        assert out == eq.Partition.from_cells([[0, 1], range(2, n)])
+
     def test_grid_peak_memory_below_dense_copy(self):
         # a 30x40 grid refines in 30 rounds into 300 cells; no round may
         # hold a float64 copy of A
@@ -648,7 +660,10 @@ class TestWeightedRefinement:
         finally:
             tracemalloc.stop()
         assert out == full_signature_refinement(A, w=w)
-        assert peak < n * n * 8
+        # a round holds its N-by-m signatures, m up to about N/2 here, and
+        # blocks of _BLOCK_ENTRIES entries (0.64-0.69 of the copy); a lexsort
+        # of the m columns added about 4.7 bytes an entry (0.83-0.91)
+        assert peak < 0.75 * n * n * 8
 
 
 class TestIncrementalRefinement:
@@ -755,9 +770,116 @@ class TestIncrementalRefinement:
     def test_split_off_leaves_out_first_largest_piece(self):
         # cells 0-2 come from parent 0 (sizes 2, 3, 3), cell 3 from parent 1
         lay = partition._layout(eq.Partition.from_cells([[4, 0], [1, 2, 3], [5, 6, 7], [8]]))
-        corder, cstarts = partition._split_off(lay, np.array([0, 0, 0, 1]))
-        assert corder.tolist() == [0, 4, 5, 6, 7]
-        assert cstarts.tolist() == [0, 2]
+        prev = partition._Layout(lay.order, np.array([0, 8]), np.repeat([0, 1], [8, 1]))
+        cols = partition._split_off(lay, prev, None)
+        assert cols.order.tolist() == [0, 4, 5, 6, 7]
+        assert cols.starts.tolist() == [0, 2]
+        assert cols.cell.tolist() == [0, -1, -1, -1, 0, 1, 1, 1, -1]
+        # the next round's set reuses the map, cleared of this one
+        again = partition._split_off(lay, lay, cols)
+        assert again.cell is cols.cell
+        assert again.order.size == 0 and np.all(again.cell == -1)
+
+
+class TestSignatureKey:
+    """At color_tol 0 a round sorts its rows by cell and a linear key of
+    their signatures, checked exactly; a collision or a non-finite key sends
+    the round to the lexsort, with the oracle's partition in its rounds."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Aggregate passes, and the color_tol of every lexsort round, in order."""
+        calls = {"passes": 0, "lexsort": []}
+        kernel, lexsort = partition._aggregate, partition._lexsort_groups
+
+        def counted(*args, **kwargs):
+            calls["passes"] += 1
+            return kernel(*args, **kwargs)
+
+        def fallen(R, labels, color_tol):
+            calls["lexsort"].append(color_tol)
+            return lexsort(R, labels, color_tol)
+
+        monkeypatch.setattr(partition, "_aggregate", counted)
+        monkeypatch.setattr(partition, "_lexsort_groups", fallen)
+        return calls
+
+    @staticmethod
+    def _against_oracle(rounds, A, initial=None, w=None):
+        """The lexsort rounds of one refinement, once it gave the oracle's
+        partition in the oracle's number of passes."""
+        rounds["passes"], rounds["lexsort"] = 0, []
+        if w is None:
+            got = eq.coarsest_front_equitable_refinement(A, initial)
+        else:
+            got = eq.weighted_refinement(A, w, initial)
+        passes, fell = rounds["passes"], rounds["lexsort"]
+        rounds["passes"] = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = full_signature_refinement(A, initial, 0.0, w)
+        assert (got, passes) == (want, rounds["passes"])
+        return fell
+
+    @staticmethod
+    def _graphs(rng):
+        """Graphs whose rounds sum into two cells or more, or are complex."""
+        grid = np.kron(_path(9), np.eye(13, dtype=np.int64)) + \
+            np.kron(np.eye(9, dtype=np.int64), _path(13))
+        w = np.exp2(rng.integers(-1, 2, 90)).astype(float)
+        return [(_relabelled(rng, grid), None), (_relabelled(rng, grid + 0j * grid), None),
+                (_relabelled(rng, _path(90)), w)]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equal_rows_get_bit_equal_keys(self, data):
+        # rows of odd and other lengths that are no multiple of 4 sit at
+        # differently aligned addresses; the row is put first, last and at i
+        n = data.draw(st.integers(2, 40).filter(lambda v: v % 4), label="n")
+        m = data.draw(st.integers(1, 40).filter(lambda v: v % 4), label="m")
+        parts = 2 if data.draw(st.booleans(), label="complex") else 1
+        elements = st.floats(-1e200, 1e200, allow_subnormal=True)
+        X = data.draw(hnp.arrays(np.float64, (n, m * parts), elements=elements), label="X")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        X[0] = X[i] = X[-1] = data.draw(hnp.arrays(np.float64, m * parts, elements=elements))
+        R = X.view(np.complex128) if parts == 2 else X
+        key = partition._signature_key(R, partition._key_weights(2 * m))
+        assert key.shape == (n,)
+        assert key[0].tobytes() == key[i].tobytes() == key[-1].tobytes()
+
+    def test_graphs_need_no_lexsort(self, rng, rounds):
+        for A, w in self._graphs(rng):
+            assert self._against_oracle(rounds, A, w=w) == []
+
+    @pytest.mark.parametrize("constant", [0.0, 1.0])
+    def test_collision_falls_back_to_the_lexsort(self, rng, monkeypatch, rounds, constant):
+        # zero weights give every row key 0, so every graph collides; equal
+        # weights give rows (1, 0) and (0, 1) one key, which some graph meets
+        monkeypatch.setattr(partition, "_key_weights", lambda m: np.full(m, constant))
+        fell = [self._against_oracle(rounds, A, w=w) for A, w in self._graphs(rng)]
+        assert all(fell) if constant == 0 else any(fell)
+        assert {tol for f in fell for tol in f} == {0.0}
+
+    def test_one_real_column_is_its_own_key(self, rng, monkeypatch, rounds):
+        # every round of a path sums into one cell: its sums sort and group
+        # as they are, with no key weights to collide and no check
+        monkeypatch.setattr(partition, "_key_weights", lambda m: np.zeros(m))
+        assert self._against_oracle(rounds, _relabelled(rng, _path(90))) == []
+        # equal infinities agree, NaN agrees with nothing
+        R = np.array([[np.inf], [1.0], [-np.inf], [np.nan], [1.0], [np.inf], [np.nan]])
+        srt, new = partition._color_groups(R, np.zeros(7, dtype=np.intp), 0.0, None)
+        assert srt.tolist() == [2, 1, 4, 0, 5, 3, 6]
+        assert new.tolist() == [True, True, False, True, False, True, True]
+        assert rounds["lexsort"] == []
+
+    def test_non_finite_key_falls_back_to_the_lexsort(self, rng, rounds):
+        # row 0 sums to +inf into cell {1, 2} and to -inf into cell {3, 4},
+        # so its key is inf - inf
+        for _ in range(10):
+            A = rng.integers(0, 3, size=(9, 9)).astype(float)
+            A[0, 1:5] = [1e308, 1e308, -1e308, -1e308]
+            initial = eq.Partition.from_cells([[0], [1, 2], [3, 4], [5, 6, 7, 8]])
+            fell = self._against_oracle(rounds, A, initial)
+            assert fell[:1] == [0.0]
 
 
 class TestBothKernels:
